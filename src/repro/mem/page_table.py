@@ -26,6 +26,23 @@ between mutations instead of rescanning the arrays.  ``referenced`` and
 them, and the clock policies clear reference bits on every sweep.
 State must therefore be mutated through the methods below (or followed
 by an explicit epoch bump), never by writing the arrays directly.
+
+The epoch cannot serve the §3.4 background writer: every burst it
+writes ends in :meth:`mark_clean`, so its view of the dirty set would
+never hit.  The writer instead keeps its own oldest-first queue of
+``(last_ref, page)`` keys and trusts it only while
+:attr:`PageTable.dirty_low_water` proves the queue's pick exact.  The
+*low-water mark* is the smallest ``last_ref`` any page carried when it
+entered the dirty-resident set (``present & (dirty | swap_slot < 0)``)
+or was re-stamped, since the writer last reset the mark to ``+inf``.
+Every mutator that can do either lowers it: :meth:`record_access`,
+:meth:`record_access_runs`, :meth:`set_last_ref`,
+:meth:`set_last_ref_values`, :meth:`make_resident` of slotless pages and
+:meth:`release_slots` on resident pages.  A dirty-resident page the
+queue does not hold with its current key therefore has
+``last_ref >= dirty_low_water``; :meth:`evict`, :meth:`mark_clean` and
+:meth:`assign_slots` only remove pages from the set and leave the mark
+alone.
 """
 
 from __future__ import annotations
@@ -62,6 +79,10 @@ class PageTable:
         self.clock_hand = 0
         #: mutation epoch — bumped by every state-changing method
         self.epoch = 0
+        #: low-water ``last_ref`` of pages that joined the dirty-resident
+        #: set or were re-stamped since the background writer reset it
+        #: (see the module docstring); ``-inf`` until the first reset
+        self.dirty_low_water = -np.inf
         # O(1) resident-set size, maintained by make_resident/evict
         self._resident_count = 0
         #: epoch-cached views (resident / dirty / clean / candidates)
@@ -133,6 +154,8 @@ class PageTable:
             raise ValueError("record_access on non-resident page")
         self.referenced[pages] = True
         self.last_ref[pages] = now
+        if now < self.dirty_low_water:
+            self.dirty_low_water = now
         if np.isscalar(dirty) or isinstance(dirty, bool):
             if dirty:
                 self.dirty[pages] = True
@@ -164,9 +187,12 @@ class PageTable:
         referenced = self.referenced
         last_ref = self.last_ref
         dirty_arr = self.dirty
+        low = self.dirty_low_water
         for pages, now, dirty in runs:
             referenced[pages] = True
             last_ref[pages] = now
+            if now < low:
+                low = now
             if np.isscalar(dirty) or isinstance(dirty, bool):
                 if dirty:
                     dirty_arr[pages] = True
@@ -175,6 +201,7 @@ class PageTable:
                 if mask.shape != pages.shape:
                     raise ValueError("dirty mask shape mismatch")
                 dirty_arr[pages[mask]] = True
+        self.dirty_low_water = low
         self.epoch += 1
 
     def set_last_ref(self, pages: np.ndarray, now: float) -> None:
@@ -183,6 +210,8 @@ class PageTable:
         if len(pages) == 0:
             return
         self.last_ref[pages] = now
+        if now < self.dirty_low_water:
+            self.dirty_low_water = now
         self.epoch += 1
 
     def set_last_ref_values(self, pages: np.ndarray,
@@ -196,18 +225,22 @@ class PageTable:
         if len(pages) == 0:
             return
         self.last_ref[pages] = values
+        self.dirty_low_water = min(self.dirty_low_water, float(np.min(values)))
         self.epoch += 1
 
     def make_resident(self, pages: np.ndarray) -> None:
         """Flip ``pages`` to present (frames must already be accounted).
 
-        Freshly paged-in or zero-filled pages are clean and referenced.
+        Freshly paged-in or zero-filled pages are clean and referenced;
+        the slotless ones join the dirty-resident set with whatever
+        ``last_ref`` they carry.
         """
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0:
             return
         if self.present[pages].any():
             raise ValueError("make_resident on already-resident page")
+        self._lower_low_water(pages[self.swap_slot[pages] < 0])
         self.present[pages] = True
         self.dirty[pages] = False
         self.referenced[pages] = True
@@ -252,10 +285,20 @@ class PageTable:
         slots = self.swap_slot[pages]
         if np.any(slots < 0):
             raise ValueError("release_slots on page without a slot")
+        # a resident page without a swap copy is dirty-resident again
+        self._lower_low_water(pages[self.present[pages]])
         self.swap_slot[pages] = -1
         if pages.size:
             self.epoch += 1
         return slots
+
+    def _lower_low_water(self, entering: np.ndarray) -> None:
+        """Lower :attr:`dirty_low_water` to the oldest ``last_ref`` among
+        ``entering`` (pages joining the dirty-resident set)."""
+        if entering.size:
+            low = float(self.last_ref[entering].min())
+            if low < self.dirty_low_water:
+                self.dirty_low_water = low
 
     def clear_referenced(self, pages: np.ndarray | None = None) -> None:
         """Clear reference bits (a clock sweep step; no epoch bump —

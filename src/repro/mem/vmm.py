@@ -1249,7 +1249,8 @@ class VirtualMemoryManager:
 
         Evictions are serialised VMM-wide; victims selected before the
         lock wait are re-validated afterwards.  Returns the number of
-        pages actually evicted (0 in keep-resident mode).
+        pages actually evicted, or in keep-resident mode the number of
+        pages written and marked clean.
         """
         lock = self._evict_lock.request()
         try:
@@ -1301,6 +1302,13 @@ class VirtualMemoryManager:
                 self.stats.pages_swapped_out += to_write.size
                 self._c_pages_out.inc(to_write.size)
                 table.mark_clean(to_write)
+
+            if keep_resident:
+                # Background cleaning (§3.4): pages stay in memory, so
+                # this is not a flush and must not reach the recorder.
+                return int(to_write.size)
+
+            if to_write.size:
                 # A fault service may have started demanding some of
                 # these pages while the write was in flight; they were
                 # written (wasted I/O) but must stay resident.
@@ -1311,11 +1319,6 @@ class VirtualMemoryManager:
                     to_write = to_write[counts[to_write] == 0]
                 if pages.size == 0:
                     return 0
-
-            if keep_resident:
-                # Background cleaning (§3.4): pages stay in memory, so
-                # this is not a flush and must not reach the recorder.
-                return 0
 
             self.stats.pages_discarded += pages.size - to_write.size
             self.stats.evictions += pages.size
