@@ -45,7 +45,6 @@ import numpy as np
 from repro.faults.errors import DiskFailure
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import NULL_OBS
-from repro.sim import compiled as _compiled
 from repro.sim import fastpath as _fastpath
 from repro.sim.engine import NORMAL, Environment, Event
 
@@ -181,7 +180,7 @@ class DiskRequest(Event):
 
 
 class _EagerRequest:
-    """Completed-transfer record for the batch-advance tier.
+    """Completed-transfer record for batch-advance.
 
     The eager service path (:meth:`Disk.service_eager`,
     :meth:`Disk.commit_eager_run`) never enqueues or dispatches, so it
@@ -215,6 +214,38 @@ class _EagerRequest:
     @property
     def npages(self) -> int:
         return int(self.slots.size)
+
+
+def _run_positioning(slist: list, head: int, same_op: bool,
+                     positioning_s: float, coef: float) -> tuple[int, float]:
+    """(seeks, positioning cost) of one transfer over the slot list ``slist``.
+
+    Decomposes the slots into maximal consecutive runs and charges
+    ``positioning_s`` (plus the optional ``coef * sqrt(distance)`` term)
+    for every run that does not continue the previous transfer,
+    accumulating in run order.  Only the first run can continue: it must
+    start at ``head`` in the same direction (``same_op``) — a direction
+    change always seeks, because page-in and page-out streams target
+    different areas.  Every later run starts past a gap by construction.
+    """
+    first = slist[0]
+    seeks = 0
+    positioning = 0.0
+    if not (same_op and first == head):
+        seeks = 1
+        positioning += positioning_s
+        if coef > 0.0:
+            # math.sqrt is bitwise-identical to np.sqrt
+            positioning += coef * math.sqrt(abs(first - head))
+    prev = first
+    for s in slist[1:]:
+        if s != prev + 1:
+            seeks += 1
+            positioning += positioning_s
+            if coef > 0.0:
+                positioning += coef * math.sqrt(abs(s - prev - 1))
+        prev = s
+    return seeks, positioning
 
 
 class Disk:
@@ -364,13 +395,10 @@ class Disk:
         """(duration, seeks) for a transfer of ``slots`` starting now.
 
         Pure function of the current head position / direction; used by
-        the dispatcher, the batch-advance tier and directly
+        the dispatcher, batch-advance and directly
         unit-testable.  Runs once per disk request, so the run
-        decomposition stays on plain Python ints — per-element numpy
-        indexing here showed up in profiles.  When the compiled-kernel
-        tier is on, the multi-run decomposition is delegated to the
-        (numba-jitted) :func:`repro.sim.compiled.run_positioning`
-        kernel, which accumulates in the identical order.
+        decomposition (:func:`_run_positioning`) stays on plain Python
+        ints — per-element numpy indexing here showed up in profiles.
         """
         params = self.params
         coef = params.seek_distance_coef_s
@@ -397,43 +425,10 @@ class Disk:
                 + slots.size * params.page_transfer_s
             ), seeks
 
-        if _compiled.COMPILED_ENABLED:
-            seeks, positioning = _compiled.run_positioning(
-                slots, self._head, self._last_op == op,
-                params.positioning_s, coef,
-            )
-        else:
-            slist = slots.tolist()
-            starts = [first]
-            ends = []
-            prev = first
-            for s in slist[1:]:
-                if s != prev + 1:
-                    ends.append(prev + 1)
-                    starts.append(s)
-                prev = s
-            ends.append(prev + 1)
-
-            seeks = 0
-            positioning = 0.0
-            positioning_s = params.positioning_s
-            pos = self._head
-            last_op = self._last_op
-            for i, start in enumerate(starts):
-                # A run is free of positioning cost if it exactly
-                # continues the previous transfer (sequential
-                # streaming).  A direction change (read->write or
-                # write->read) always seeks on the first run: page-in
-                # and page-out streams target different areas/queues.
-                continues = start == pos and (i > 0 or last_op == op)
-                if not continues:
-                    seeks += 1
-                    positioning += positioning_s
-                    if coef > 0.0:
-                        # math.sqrt is bitwise-identical to np.sqrt
-                        positioning += coef * math.sqrt(abs(start - pos))
-                pos = ends[i]
-
+        seeks, positioning = _run_positioning(
+            slots.tolist(), self._head, self._last_op == op,
+            params.positioning_s, coef,
+        )
         duration = (
             params.overhead_s
             + positioning
@@ -629,7 +624,7 @@ class Disk:
         self._dispatch_next()
 
     # -- batch-advance (eager) service -------------------------------------
-    # Used by the batch-advance tier (repro.sim.fastpath.BATCH_ENABLED):
+    # Used by batch-advance (part of the fast path, repro.sim.fastpath):
     # while the VMM holds a quiescence proof for the node (idle disk, no
     # competing demand, deadline slack, no fault plan), requests are
     # serviced synchronously under a caller-maintained local clock.
@@ -639,7 +634,7 @@ class Disk:
     # would have existed are tallied on ``env.events_absorbed``.
 
     def eager_ready(self) -> bool:
-        """Whether the batch-advance tier may bypass the dispatcher.
+        """Whether batch-advance may bypass the dispatcher.
 
         Requires an idle device with an empty queue (so eager service
         cannot reorder against queued work), no fault plan (injection
@@ -748,8 +743,8 @@ class Disk:
         head = self._head
         last_same = self._last_op == op
         for i, slots in enumerate(slots_list):
-            sk, positioning = _compiled.run_positioning(
-                slots, head, last_same, params.positioning_s, 0.0
+            sk, positioning = _run_positioning(
+                slots.tolist(), head, last_same, params.positioning_s, 0.0
             )
             durations[i] = (
                 params.overhead_s

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from repro.mem.page_table import PageTable
-from repro.sim import compiled as _compiled
 
 
 @dataclass
@@ -38,7 +37,7 @@ class FaultGroup:
     #: the slot *set* is one consecutive run [slot0, slot0+count) — an
     #: exact judgement the planner makes for free from its slot-sorted
     #: view (``slots`` itself is in page order, where a span test alone
-    #: is unsound); the batch-advance tier keys its bulk commits on it
+    #: is unsound); batch-advance keys its bulk commits on it
     contig: bool = False
     slot0: int = -1            # first slot of the run when contig
 
@@ -64,89 +63,6 @@ def dedupe_preserve_order(pages: np.ndarray) -> np.ndarray:
     return pages[np.sort(first)]
 
 
-class MonotonePlan:
-    """Array form of a monotone :func:`plan_swapins` plan.
-
-    At thrash scale a single touch plans thousands of fault groups;
-    materialising a :class:`FaultGroup` per group is the planner's
-    dominant cost, and the batch-advance tier immediately re-derives
-    arrays from the objects anyway.  The monotone branch therefore
-    describes the whole plan with a few arrays; the tier consumes them
-    directly (:meth:`VirtualMemoryManager._advance_eager_plan`) and
-    :meth:`materialize` builds the exact scalar group list on demand —
-    the full list for the scalar path, or just the uncommitted tail
-    when the eager driver stops early.
-
-    Group sequence: zero-fill bucket ``k`` (pages
-    ``zf_pages[zf_bounds[k]:zf_bounds[k+1]]``, pre-sorted) precedes
-    swap group ``k``, which reads slot-map positions
-    ``[los[k], his[k])``; bucket ``n_swap`` trails the last group.
-    ``firsts``/``sizes``/``contig`` are the per-group head-model
-    ingredients (``contig`` is exact: the map is slot-sorted, so
-    span == size-1 means one consecutive run).
-    """
-
-    __slots__ = ("sw_pages", "sw_slots", "los", "his", "zf_pages",
-                 "zf_bounds", "page_asc", "firsts", "sizes", "contig")
-
-    def __init__(self, sw_pages, sw_slots, los, his, zf_pages,
-                 zf_bounds, page_asc):
-        self.sw_pages = sw_pages
-        self.sw_slots = sw_slots
-        self.los = los
-        self.his = his
-        self.zf_pages = zf_pages
-        self.zf_bounds = zf_bounds
-        self.page_asc = page_asc
-        self.firsts = sw_slots[los]
-        self.sizes = his - los
-        self.contig = (sw_slots[his - 1] - self.firsts) == (self.sizes - 1)
-
-    @property
-    def n_swap(self) -> int:
-        return int(self.los.size)
-
-    def materialize(self, k_swap: int = 0,
-                    zf_from: Optional[int] = None) -> list[FaultGroup]:
-        """Group list from swap group ``k_swap`` on, exactly as the
-        scalar emission loop would have built it.  ``zf_from`` is the
-        first unconsumed zero-fill bucket (defaults to ``k_swap``)."""
-        if zf_from is None:
-            zf_from = k_swap
-        groups: list[FaultGroup] = []
-        sw_pages = self.sw_pages
-        sw_slots = self.sw_slots
-        los = self.los.tolist()
-        his = self.his.tolist()
-        contig_l = self.contig.tolist()
-        firsts_l = self.firsts.tolist()
-        zb = self.zf_bounds
-        zbl = zb.tolist() if zb is not None else None
-        page_asc = self.page_asc
-        n = len(los)
-        for k in range(k_swap, n):
-            if zbl is not None and k >= zf_from and zbl[k] != zbl[k + 1]:
-                groups.append(
-                    FaultGroup(self.zf_pages[zbl[k]:zbl[k + 1]], None)
-                )
-            lo = los[k]
-            hi = his[k]
-            cand_pages = sw_pages[lo:hi]
-            cand_slots = sw_slots[lo:hi]
-            if page_asc:
-                groups.append(FaultGroup(cand_pages, cand_slots,
-                                         contig_l[k], firsts_l[k]))
-            else:
-                idx = np.argsort(cand_pages)
-                groups.append(FaultGroup(cand_pages[idx], cand_slots[idx],
-                                         contig_l[k], firsts_l[k]))
-        if zbl is not None and zf_from <= n and zbl[n] != zbl[n + 1]:
-            groups.append(
-                FaultGroup(self.zf_pages[zbl[n]:zbl[n + 1]], None)
-            )
-        return groups
-
-
 def plan_swapins(
     table: PageTable, demand: np.ndarray, window: int
 ) -> list[FaultGroup]:
@@ -166,21 +82,6 @@ def plan_swapins(
     -------
     Groups in touch order.  Groups are pairwise disjoint; their union
     covers ``demand`` and possibly extra read-ahead pages.
-    """
-    plan = plan_swapins_fused(table, demand, window)
-    if isinstance(plan, MonotonePlan):
-        return plan.materialize()
-    return plan
-
-
-def plan_swapins_fused(
-    table: PageTable, demand: np.ndarray, window: int
-):
-    """:func:`plan_swapins` returning the array form where possible.
-
-    The monotone fast case comes back as a :class:`MonotonePlan` (call
-    :meth:`~MonotonePlan.materialize` for the group list); everything
-    else is a plain group list.
     """
     if window <= 0:
         raise ValueError("read-ahead window must be positive")
@@ -306,7 +207,7 @@ def _plan_monotone(
     los: np.ndarray,
     his: np.ndarray,
     page_asc: bool,
-):
+) -> list[FaultGroup]:
     """Array-built plan for the monotone branch of :func:`plan_swapins`.
 
     Describes exactly the group sequence of the scalar loop it
@@ -315,8 +216,7 @@ def _plan_monotone(
     ``los`` non-decreasing, so one ``searchsorted`` per emitted group
     lands on the next opener), and zero-fill pages are bucketed —
     sorted within each bucket, as the scalar accumulator did — in
-    front of the first later window.  Returns a :class:`MonotonePlan`
-    (or a plain group list when there are no swap-backed pages).
+    front of the first later window.
     """
     idx_sb = np.flatnonzero(have_swap)
     zf_raw = demand[~have_swap]
@@ -326,24 +226,23 @@ def _plan_monotone(
         return []
     los_sb = los[idx_sb]
     his_sb = his[idx_sb]
-    if _compiled.COMPILED_ENABLED:
-        chosen = _compiled.monotone_window_starts(
-            np.ascontiguousarray(los_sb, dtype=np.int64),
-            np.ascontiguousarray(his_sb, dtype=np.int64),
-        )
-    else:
-        chosen = np.zeros(idx_sb.size, dtype=bool)
-        n = idx_sb.size
-        i = 0
-        while i < n:
-            chosen[i] = True
-            # the next opener is the first later page whose window does
-            # not overlap this one (own-slot membership guarantees
-            # lo < hi, so the jump always advances)
-            i = int(np.searchsorted(los_sb, his_sb[i], side="left"))
+    chosen = np.zeros(idx_sb.size, dtype=bool)
+    n = idx_sb.size
+    i = 0
+    while i < n:
+        chosen[i] = True
+        # the next opener is the first later page whose window does
+        # not overlap this one (own-slot membership guarantees lo < hi,
+        # so the jump always advances)
+        i = int(np.searchsorted(los_sb, his_sb[i], side="left"))
     los_c = los_sb[chosen]
     his_c = his_sb[chosen]
     nchosen = los_c.size
+    # per-group head-model certificates, exact because the map is
+    # slot-sorted: span == size-1 means one consecutive run
+    firsts = sw_slots[los_c]
+    contig = ((sw_slots[his_c - 1] - firsts) == (his_c - los_c - 1)).tolist()
+    firsts = firsts.tolist()
     if zf_raw.size:
         # bucket k = zero-fill pages flushed just before chosen group k
         # (touch-order position before that group's); bucket nchosen is
@@ -352,13 +251,26 @@ def _plan_monotone(
         # per-bucket np.sort.
         bucket = np.searchsorted(idx_sb[chosen], np.flatnonzero(~have_swap),
                                  side="left")
-        bounds = np.searchsorted(bucket, np.arange(nchosen + 2), side="left")
+        zb = np.searchsorted(bucket, np.arange(nchosen + 2),
+                             side="left").tolist()
         zf_pages = zf_raw[np.lexsort((zf_raw, bucket))]
     else:
-        bounds = None
-        zf_pages = zf_raw
-    return MonotonePlan(sw_pages, sw_slots, los_c, his_c, zf_pages,
-                        bounds, page_asc)
+        zb = [0] * (nchosen + 2)
+    groups: list[FaultGroup] = []
+    for k, (lo, hi) in enumerate(zip(los_c.tolist(), his_c.tolist())):
+        if zb[k] != zb[k + 1]:
+            groups.append(FaultGroup(zf_pages[zb[k]:zb[k + 1]], None))
+        cand_pages = sw_pages[lo:hi]
+        cand_slots = sw_slots[lo:hi]
+        if not page_asc:
+            idx = np.argsort(cand_pages)
+            cand_pages = cand_pages[idx]
+            cand_slots = cand_slots[idx]
+        groups.append(FaultGroup(cand_pages, cand_slots,
+                                 contig[k], firsts[k]))
+    if zb[nchosen] != zb[nchosen + 1]:
+        groups.append(FaultGroup(zf_pages[zb[nchosen]:], None))
+    return groups
 
 
 def plan_block_reads(
@@ -397,9 +309,7 @@ def plan_block_reads(
 
 __all__ = [
     "FaultGroup",
-    "MonotonePlan",
     "dedupe_preserve_order",
     "plan_block_reads",
     "plan_swapins",
-    "plan_swapins_fused",
 ]

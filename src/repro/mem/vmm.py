@@ -30,10 +30,11 @@ from repro.disk.swap import SwapAllocator
 from repro.mem.frames import FramePool, OutOfFramesError
 from repro.mem.page_table import PageTable
 from repro.mem.params import MemoryParams
+# the per-layer host time table (perfbench/layers.py) traces the
+# read-ahead planner under the name plan_swapins_fused
 from repro.mem.readahead import (
-    MonotonePlan,
     dedupe_preserve_order,
-    plan_swapins_fused,
+    plan_swapins as plan_swapins_fused,
 )
 from repro.mem.replacement import (
     GlobalLruPolicy,
@@ -129,10 +130,10 @@ class VirtualMemoryManager:
         # whether the most recent reclaim round found any candidates
         # (distinguishes "nothing evictable" from "victims went stale")
         self._reclaim_saw_candidates = False
-        #: deadline publisher for the batch-advance tier — the node's
+        #: deadline publisher for batch-advance — the node's
         #: AdaptivePaging, wired by the schedulers' start() (and only
         #: there: a bare VMM driven by unit tests keeps the scalar
-        #: path, whose interleavings those tests rely on).  The tier
+        #: path, whose interleavings those tests rely on).  Batch-advance
         #: may only commit events strictly before
         #: min(bg_arm_at, run_cap_at): at either deadline another
         #: actor (background writer, gang switch) wakes and may
@@ -286,22 +287,14 @@ class VirtualMemoryManager:
                 absent = pages[~table.present[pages]]
                 if absent.size == 0:
                     break
-                plan = plan_swapins_fused(
+                groups = plan_swapins_fused(
                     table, absent, self.params.readahead_pages
                 )
                 done = 0
                 if self._eager_entry_ok():
-                    if type(plan) is MonotonePlan:
-                        # array plan: the eager driver consumes it
-                        # without materialising groups and returns the
-                        # uncommitted tail for the scalar loop below
-                        groups, t_end, efilled, exc = \
-                            self._advance_eager_plan(table, pid, plan)
-                    else:
-                        groups = plan
-                        done, t_end, efilled, exc = self._advance_eager(
-                            table, pid, groups
-                        )
+                    done, t_end, efilled, exc = self._advance_eager(
+                        table, pid, groups
+                    )
                     if self._obs_on:
                         filled += efilled
                     if t_end > self.env.now:
@@ -312,9 +305,6 @@ class VirtualMemoryManager:
                         yield self.env.timeout_at(t_end)
                     if exc is not None:
                         raise exc
-                else:
-                    groups = plan.materialize() \
-                        if type(plan) is MonotonePlan else plan
                 for group in groups[done:]:
                     # a group page may have been brought in meanwhile;
                     # when none was (the overwhelmingly common case) the
@@ -390,12 +380,12 @@ class VirtualMemoryManager:
         table.record_access(pages, self.env.now, dirty)
 
     # ------------------------------------------------------------------
-    # the batch-advance tier (see repro.sim.fastpath)
+    # batch-advance (see repro.sim.fastpath)
     # ------------------------------------------------------------------
     def _eager_entry_ok(self) -> bool:
         """Whether a demand fill may be advanced eagerly.
 
-        The batch-advance tier replays a fill's event sequence
+        Batch-advance replays a fill's event sequence
         synchronously under a local clock, so it is sound only while a
         *closed-system* proof holds: nothing else may observe or mutate
         this node's state until the fill's last committed event time.
@@ -411,7 +401,7 @@ class VirtualMemoryManager:
           (injection points are interaction boundaries);
         * the background writer is not actively cleaning.
         """
-        if not (_fastpath.BATCH_ENABLED and _fastpath.ENABLED):
+        if not _fastpath.ENABLED:
             return False
         dl = self.deadlines
         if dl is None:
@@ -554,7 +544,6 @@ class VirtualMemoryManager:
                 return None
             sizes = sizes[:m]
             firsts = firsts[:m]
-            csum = csum[:m]
         durations, seeks = self.disk.eager_run_times(firsts, sizes, "read")
         # exact event times by strict left-fold: acc interleaves each
         # group's service completion T_c and its fused CPU charge, so
@@ -588,22 +577,11 @@ class VirtualMemoryManager:
         all_pages = np.concatenate(
             [groups[start + i].pages for i in range(m)]
         )
-        total = self._commit_read_run(
-            table, pid, slots_list, all_pages, sizes, durations, seeks,
-            starts, t_c, waiters,
-        )
-        return m, float(waiters[-1]), total
-
-    def _commit_read_run(self, table, pid: int, slots_list, all_pages,
-                         sizes, durations, seeks, starts, t_c, waiters):
-        """Bulk-apply a priced read run: frames, statistics, the
-        refault gather, the disk commit and the page-state flips
-        (shared by the group-list and array-plan drivers)."""
         total = int(sizes.sum())
-        self.frames.allocate(total)
-        self.stats.major_faults += sizes.size
+        frames.allocate(total)
+        self.stats.major_faults += m
         self.stats.pages_swapped_in += total
-        self._c_major.inc(sizes.size)
+        self._c_major.inc(m)
         self._c_pages_in.inc(total)
         if pid in self._ever_evicted:
             evicted = self._evicted_at[pid][all_pages]
@@ -618,180 +596,6 @@ class VirtualMemoryManager:
         )
         table.make_resident(all_pages)
         table.set_last_ref_values(all_pages, np.repeat(waiters, sizes))
-        return total
-
-    def _advance_eager_plan(self, table, pid: int, plan: MonotonePlan):
-        """Array-plan twin of :meth:`_advance_eager`.
-
-        Consumes a :class:`~repro.mem.readahead.MonotonePlan` without
-        materialising its fault groups: maximal runs of slot-contiguous
-        swap groups (no zero-fill bucket or discontiguity between them)
-        commit through :meth:`_eager_read_window`; lone groups and
-        zero-fill buckets replay the scalar loop's arithmetic one at a
-        time.  The plan's window slices are slot-ascending, which is
-        exactly what the scalar path services (requests sort their
-        slots on submission), so no per-group page-order shuffle is
-        needed anywhere on this path.
-
-        Returns ``(tail_groups, t_end, filled, exc)`` where
-        ``tail_groups`` is the materialised uncommitted suffix for the
-        scalar loop in :meth:`touch` (``done`` is implicitly 0).
-        """
-        env = self.env
-        params = self.params
-        frames = self.frames
-        disk = self.disk
-        dl = self.deadlines
-        deadline = dl.bg_arm_at if dl.bg_arm_at < dl.run_cap_at \
-            else dl.run_cap_at
-        t = env.now
-        filled = 0
-        n = plan.los.size
-        if not t < deadline:
-            return plan.materialize(), t, 0, None
-        contig = plan.contig
-        zb = plan.zf_bounds
-        zbl = zb.tolist() if zb is not None else None
-        # a bulk run may not extend across a discontiguous group or a
-        # group preceded by a pending zero-fill bucket; precompute the
-        # barrier positions once and find each run's end by bisection
-        barrier = ~contig
-        if zb is not None:
-            barrier = barrier | (zb[:n] != zb[1:n + 1])
-        bidx = np.flatnonzero(barrier)
-        los = plan.los
-        his = plan.his
-        k = 0
-        zf_next = 0
-        while k < n:
-            if zbl is not None and zf_next == k and zbl[k] != zbl[k + 1]:
-                # zero-fill bucket k precedes swap group k
-                zpages = plan.zf_pages[zbl[k]:zbl[k + 1]]
-                size = zpages.size
-                if frames.free < size or frames.below_min(size):
-                    try:
-                        ok, t = self._eager_ensure(size, t, deadline)
-                    except OutOfFramesError as exc:
-                        return plan.materialize(k, zf_next), t, filled, exc
-                    if not ok:
-                        break
-                delay = size * params.minor_fault_s
-                t2 = t + delay
-                if delay > 0 and not t2 < deadline:
-                    break
-                frames.allocate(size)
-                self.stats.minor_faults += size
-                self._c_minor.inc(size)
-                if delay > 0:
-                    t = t2
-                    env.events_absorbed += 1
-                table.make_resident(zpages)
-                table.set_last_ref(zpages, t)
-                zf_next = k + 1
-                continue
-            if bool(contig[k]):
-                pos = int(np.searchsorted(bidx, k, side="right"))
-                j = int(bidx[pos]) if pos < bidx.size else n
-                if j - k >= 2:
-                    adv = self._eager_read_window(
-                        table, pid, plan, k, j, t, deadline
-                    )
-                    if adv is not None:
-                        m, t, npages = adv
-                        filled += npages
-                        k += m
-                        zf_next = k
-                        continue
-            # lone swap group k (its bucket, if any, is consumed)
-            lo = int(los[k])
-            hi = int(his[k])
-            size = hi - lo
-            if frames.free < size or frames.below_min(size):
-                try:
-                    ok, t = self._eager_ensure(size, t, deadline)
-                except OutOfFramesError as exc:
-                    return plan.materialize(k, zf_next), t, filled, exc
-                if not ok:
-                    break
-            gslots = plan.sw_slots[lo:hi]
-            cpu = size * params.major_fault_cpu_s
-            duration, _ = disk.service_time_for(gslots, "read")
-            t_after = (t + duration) + cpu
-            if not t_after < deadline:
-                break
-            frames.allocate(size)
-            req = disk.service_eager(gslots, "read", t,
-                                     PRIO_FOREGROUND, pid=pid)
-            self.stats.major_faults += 1
-            self.stats.pages_swapped_in += size
-            self._c_major.inc()
-            self._c_pages_in.inc(size)
-            filled += size
-            gpages = plan.sw_pages[lo:hi]
-            self._count_refaults(pid, gpages, now=req.completed_at)
-            t = req.completed_at + cpu
-            table.make_resident(gpages)
-            table.set_last_ref(gpages, t)
-            k += 1
-            zf_next = k
-        return plan.materialize(k, zf_next), t, filled, None
-
-    def _eager_read_window(self, table, pid: int, plan: MonotonePlan,
-                           start: int, stop: int, t: float,
-                           deadline: float):
-        """:meth:`_eager_read_run` over a plan's window arrays.
-
-        ``[start, stop)`` indexes slot-contiguous swap groups of
-        ``plan``; the run is prefix-truncated by the per-group
-        watermark precondition and the deadline exactly as the
-        group-list variant.  Returns ``(ngroups, t_end, npages)`` or
-        ``None`` when fewer than two groups survive.
-        """
-        params = self.params
-        frames = self.frames
-        sizes = plan.sizes[start:stop]
-        firsts = plan.firsts[start:stop]
-        csum = np.cumsum(sizes)
-        room = (frames.free - csum) >= params.freepages_min
-        if not room.all():
-            m = int(np.argmin(room))
-            if m < 2:
-                return None
-            sizes = sizes[:m]
-            firsts = firsts[:m]
-        durations, seeks = self.disk.eager_run_times(firsts, sizes, "read")
-        cpus = sizes * params.major_fault_cpu_s
-        inter = np.empty(2 * sizes.size, dtype=np.float64)
-        inter[0::2] = durations
-        inter[1::2] = cpus
-        acc = np.add.accumulate(np.concatenate(([t], inter)))
-        t_c = acc[1::2]
-        waiters = acc[2::2]
-        inside = waiters < deadline
-        if not inside.all():
-            m = int(np.argmin(inside))
-            if m < 2:
-                return None
-            sizes = sizes[:m]
-            firsts = firsts[:m]
-            durations = durations[:m]
-            seeks = seeks[:m]
-            t_c = t_c[:m]
-            waiters = waiters[:m]
-        m = sizes.size
-        starts = acc[0:2 * m:2]
-        los = plan.los[start:start + m].tolist()
-        his = plan.his[start:start + m].tolist()
-        sw_slots = plan.sw_slots
-        sw_pages = plan.sw_pages
-        slots_list = [sw_slots[a:b] for a, b in zip(los, his)]
-        all_pages = np.concatenate(
-            [sw_pages[a:b] for a, b in zip(los, his)]
-        ) if m > 1 else sw_pages[los[0]:his[0]]
-        total = self._commit_read_run(
-            table, pid, slots_list, all_pages, sizes, durations, seeks,
-            starts, t_c, waiters,
-        )
         return m, float(waiters[-1]), total
 
     def _eager_ensure(self, incoming: int, t: float, deadline: float):

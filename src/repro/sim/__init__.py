@@ -16,18 +16,10 @@ Public surface
 :class:`Resource`     — FIFO shared resource with finite capacity.
 :class:`PriorityResource` — resource whose queue is priority-ordered.
 :class:`RngStreams`   — named, independently seeded random streams.
-:func:`set_fast_path_enabled` — toggle the steady-state fast path
-(:mod:`repro.sim.fastpath`).
-:func:`set_batch_advance_enabled` — toggle the batch-advance tier.
-:func:`set_compiled_enabled` — toggle the numba-compiled kernels
-(:mod:`repro.sim.compiled`; interpreted where numba is absent).
+:func:`set_fast_path_enabled` — choose between the fast path and the
+scalar oracle, the only execution-mode switch (:mod:`repro.sim.fastpath`).
 """
 
-from repro.sim.compiled import (
-    compiled_enabled,
-    have_numba,
-    set_compiled_enabled,
-)
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -38,12 +30,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.fastpath import (
-    batch_advance_enabled,
-    fast_path_enabled,
-    set_batch_advance_enabled,
-    set_fast_path_enabled,
-)
+from repro.sim.fastpath import fast_path_enabled, set_fast_path_enabled
 from repro.sim.resources import PriorityResource, Resource
 from repro.sim.rng import RngStreams
 
@@ -59,11 +46,6 @@ __all__ = [
     "RngStreams",
     "SimulationError",
     "Timeout",
-    "batch_advance_enabled",
-    "compiled_enabled",
     "fast_path_enabled",
-    "have_numba",
-    "set_batch_advance_enabled",
-    "set_compiled_enabled",
     "set_fast_path_enabled",
 ]

@@ -186,6 +186,21 @@ def test_slots_are_sorted_for_service():
     assert req.seeks == 3
 
 
+def test_eager_times_list_matches_chained_service_times():
+    """The eager pricing of back-to-back fragmented transfers equals the
+    dispatcher's per-request service times with the head advancing in
+    between, bit for bit."""
+    env, disk = make_disk()
+    run_one(disk, env, [4, 5], op="write")  # head at 6, last op write
+    slots_list = [np.array([6, 7, 9]), np.array([10, 30, 31, 40]),
+                  np.array([41])]
+    durations, seeks = disk.eager_times_list(slots_list, "write")
+    assert seeks.tolist() == [1, 2, 0]
+    for slots, duration, nseeks in zip(slots_list, durations, seeks):
+        assert disk.service_time_for(slots, "write") == (duration, nseeks)
+        disk._head = int(slots[-1]) + 1
+
+
 def test_block_transfer_beats_scattered_per_page():
     """Core premise: per-page cost of one big contiguous transfer is far
     below per-page cost of scattered single-page I/Os."""
