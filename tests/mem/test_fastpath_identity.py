@@ -1,111 +1,30 @@
-"""The zero-perturbation guarantee for the steady-state fast path.
+"""Scalar oracle vs the fast path, per paper policy, beyond LU.
 
-With the fast path on (resident-run batching, coalesced CPU timeouts,
-callback-chained disk dispatch, fused fault CPU charges) every
-simulation *output* must be bit-for-bit identical to a slow-mode run —
-the transforms only remove bookkeeping events, never change simulated
-timing.  ``events_processed`` is the one legitimate difference (fewer
-events exist in fast mode), so it is asserted to *drop*, not to match.
-
-Checked across every paper policy combination, a fault-injected
-configuration, and a small randomized property sweep over seeds and
-scales.
+``test_batch_advance_identity`` holds the oracle-vs-fast suite and its
+per-policy grid on LU.C@2.  This file runs the same per-policy check on
+the two other class-C two-rank cells whose ranks fit a node's memory,
+CG.C@2 and MG.C@2, so every policy is compared on more than one
+reference pattern: outputs bit-identical, and the fast path
+dispatching fewer events than the oracle.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.policies import PAPER_POLICIES
-from repro.experiments.runner import GangConfig, run_experiment
-from repro.faults import FaultRates
-from repro.gang.job import Job
-from repro.sim import set_fast_path_enabled
-
-
-@pytest.fixture(autouse=True)
-def _restore_fast_path():
-    set_fast_path_enabled(True)
-    yield
-    set_fast_path_enabled(True)
-
-
-def _signature(result):
-    """Everything deterministic a run produces, minus the event count."""
-    return (
-        result.makespan,
-        result.completions,
-        result.pages_read,
-        result.pages_written,
-        result.switch_count,
-        result.vmm_stats,
-        result.evicted,
-        result.fault_summary,
-        [
-            (e.node, e.op, e.pages, e.start, e.end, e.pid)
-            for e in result.collector.paging
-        ],
-    )
-
-
-def _run_both(cfg):
-    set_fast_path_enabled(True)
-    Job._next_jid = 1
-    fast = run_experiment(cfg)
-    set_fast_path_enabled(False)
-    Job._next_jid = 1
-    slow = run_experiment(cfg)
-    set_fast_path_enabled(True)
-    return fast, slow
+from repro.experiments.runner import GangConfig
+from tests.mem.test_batch_advance_identity import (  # noqa: F401
+    _restore_fast_path,
+    _run_both,
+)
 
 
 @pytest.mark.parametrize("policy", PAPER_POLICIES)
 def test_fast_and_slow_runs_identical(policy):
-    cfg = GangConfig("LU", "C", nprocs=2, policy=policy, seed=1, scale=0.05)
-    fast, slow = _run_both(cfg)
-    assert _signature(fast) == _signature(slow)
-    # the fast path exists to remove events; equality would mean it
-    # never engaged on a paging-heavy cell
-    assert fast.events_processed < slow.events_processed
-
-
-def test_fast_and_slow_identical_under_faults():
-    cfg = GangConfig(
-        "LU", "C", nprocs=2, policy="so/ao/ai/bg", seed=3, scale=0.05,
-        faults=FaultRates(
-            disk_error_rate=0.02, disk_latency_rate=0.05,
-            straggler_rate=0.1, record_loss_rate=0.1,
-        ),
-    )
-    fast, slow = _run_both(cfg)
-    assert _signature(fast) == _signature(slow)
-    assert fast.fault_summary == slow.fault_summary
-
-
-def test_fast_and_slow_identical_randomized():
-    """Property sweep: random seeds/scales/benchmarks, both modes agree."""
-    rng = np.random.default_rng(1234)
-    for _ in range(4):
-        policy = PAPER_POLICIES[rng.integers(len(PAPER_POLICIES))]
-        cfg = GangConfig(
-            "LU", "C",
-            nprocs=int(rng.integers(1, 3)),
-            policy=policy,
-            seed=int(rng.integers(0, 100)),
-            scale=0.05,
-            max_events=2_000_000,
-        )
-        fast, slow = _run_both(cfg)
-        assert _signature(fast) == _signature(slow), cfg.label()
-
-
-def test_disabling_fast_path_restores_event_stream():
-    """Slow mode must reproduce the historical per-chunk event structure:
-    two slow runs of the same config agree event-for-event in count."""
-    cfg = GangConfig("LU", "C", nprocs=2, policy="lru", seed=1, scale=0.05)
-    set_fast_path_enabled(False)
-    Job._next_jid = 1
-    first = run_experiment(cfg)
-    Job._next_jid = 1
-    second = run_experiment(cfg)
-    assert first.events_processed == second.events_processed
-    assert _signature(first) == _signature(second)
+    for bench in ("CG", "MG"):
+        cfg = GangConfig(bench, "C", nprocs=2, policy=policy, seed=1,
+                         scale=0.05)
+        fast, oracle = _run_both(cfg)
+        # the fast path exists to remove events; equality would mean it
+        # never engaged on a paging-heavy cell
+        assert fast.events_dispatched < oracle.events_dispatched, \
+            cfg.label()
