@@ -45,9 +45,9 @@ fast path:
 the chaos benchmark runs the multi-seed sweep twice — a fault-free
 serial baseline, then supervised (``repro.perf.supervisor``) under a
 seeded :class:`~repro.faults.worker.WorkerFaultPlan` that crashes
-workers mid-sweep — and asserts the supervised run absorbed at least
-one pool rebuild, quarantined nothing, and merged to byte-identical
-output.
+workers mid-sweep — and asserts the supervised run answered every
+injected crash with one worker respawn, quarantined nothing, and merged
+to byte-identical output.
 
 ``BENCH_PR7.json`` (``--pr7-out``) covers the vectorized batch-advance
 event core:
@@ -75,28 +75,23 @@ event core:
   and the capture overhead fits the PR 3 budget (≤5 % relative or
   ≤2 µs per simulated event),
 * the chaos benchmark re-run with the supervisor event log on,
-  asserting every retry and pool rebuild the supervisor counted is
+  asserting every retry and worker respawn the supervisor counted is
   named in the structured log (``--pr8-trace-out`` additionally
   writes the merged chaos-sweep Chrome trace for the CI artifact).
 
 ``BENCH_PR10.json`` (``--pr10-out``) covers the persistent warm-worker
 sweep executor:
 
-* the backend shoot-out: one ≥48-cell (16 seeds × 3 modes) sweep run
-  serial, on the legacy spawn-per-sweep pool, and on the persistent
-  executor (min-of-N each, after a warm-up sweep so worker spawn cost
-  is amortised the way real multi-sweep sessions amortise it), with a
-  three-way byte-identity verdict and the serial→persistent speedup
-  against the ≥1.5× target.  On hosts with fewer than 4 CPUs the
-  speedup target is *skipped honestly* — ``meets_target: null``,
-  ``skipped_low_cpu: true`` and a ``::warning::`` annotation — instead
-  of recording a meaningless sub-1× number as a failure; CI's 4-vCPU
-  leg passes ``--require-speedup`` to turn the target into a hard
-  gate,
-* the chaos companion on the persistent backend: injected worker
-  crashes must be absorbed by respawning single workers (``respawns``
-  ≥ 1, ``rebuilds`` = 0), quarantine nothing, and merge byte-identical
-  to the fault-free serial run,
+* serial vs persistent: one ≥48-cell (16 seeds × 3 modes) sweep run
+  serial in-process and on the persistent executor (min-of-N each,
+  after a warm-up sweep so worker spawn cost is amortised the way real
+  multi-sweep sessions amortise it), with a byte-identity verdict and
+  the serial→persistent speedup against the ≥1.5× target.  On hosts
+  with fewer than 4 CPUs the speedup target is *skipped honestly* —
+  ``meets_target: null``, ``skipped_low_cpu: true`` and a
+  ``::warning::`` annotation — instead of recording a meaningless
+  sub-1× number as a failure; CI's 4-vCPU leg passes
+  ``--require-speedup`` to turn the target into a hard gate,
 * the cumulative ``sweep_trajectory`` (PR 2 → PR 5 → PR 10 parallel
   sweep speedup) that ``repro obs bench-report`` renders alongside the
   fig6 single-cell trajectory.
@@ -113,7 +108,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_harness.py --smoke        # CI smoke, current section
 
 ``--smoke`` shrinks everything to seconds and exits non-zero if the
-parallel pool fails (pickling regression, worker crash), its output
+parallel sweep fails (pickling regression, worker crash), its output
 diverges from serial, an instrumented run diverges from an
 uninstrumented one, or a fast-path run diverges from a slow-mode run —
 mostly without timing assertions, so it is load-tolerant.  Two timing
@@ -702,12 +697,10 @@ def _find_chaos_plan(n_cells: int):
     """Seed-search a crash plan that makes quarantine impossible.
 
     Returns ``(plan, schedule)``: 1–3 crashes at attempt 0 and **clean
-    draws on every retry attempt any cell can reach**.  The latter
-    matters because a spontaneous pool break charges every in-flight
-    cell one attempt — with slow simulation cells, every crash taxes
-    ``jobs - 1`` innocents too — so with at most 3 breaks no cell can
-    ever see an attempt past 4, all draws through attempt 5 are clean
-    by construction, and a retry budget of 8 is never exhausted.
+    draws on every retry attempt any cell can reach**.  A crash
+    charges only the cell its worker held and every draw from attempt
+    1 through 5 is clean, so each crashed cell succeeds on its first
+    retry and a retry budget of 8 is never exhausted.
     Crash-only by design: crash containment is timing-independent, so
     verdicts stay stable on noisy CI runners (hang cancellation is
     deadline-driven and covered by ``tests/perf/test_supervisor.py``).
@@ -733,7 +726,8 @@ def bench_chaos(scale: float, seeds, jobs: int = 2,
 
     Uses the :func:`_find_chaos_plan` crash schedule, under which
     quarantine is provably impossible (see its docstring), so the
-    supervised run must absorb at least one pool rebuild, quarantine
+    supervised run must respawn at least one worker — exactly one per
+    injected crash, never more (``respawned_surgically``) — quarantine
     nothing, and merge to byte-identical output.
     """
     from repro.perf.supervisor import (
@@ -776,7 +770,8 @@ def bench_chaos(scale: float, seeds, jobs: int = 2,
         "baseline_wall_s": baseline_s,
         "chaos_wall_s": chaos_s,
         "supervisor_stats": stats,
-        "survived_rebuilds": stats["rebuilds"] >= 1,
+        "survived_respawns": stats["respawns"] >= 1,
+        "respawned_surgically": stats["respawns"] == len(schedule),
         "zero_quarantined": stats["quarantined"] == 0,
         "chaos_identical": identical,
     }
@@ -929,8 +924,8 @@ def bench_chaos_events(scale: float, seeds, jobs: int = 2,
     under supervision) with a sweep observer and the supervisor event
     log active, and asserts the *structured log names every fault the
     counters count*: one ``retry`` entry per counted retry (each
-    naming its cell key and attempt), one ``pool_rebuild`` entry per
-    counted rebuild.  ``trace_out`` additionally writes the merged
+    naming its cell key and attempt), one ``worker_respawn`` entry per
+    counted respawn.  ``trace_out`` additionally writes the merged
     cross-cell Chrome trace (the CI workflow uploads it as an
     artifact).
     """
@@ -976,11 +971,11 @@ def bench_chaos_events(scale: float, seeds, jobs: int = 2,
         "event_counts": counts,
         "event_log_path": str(supervisor.events.path),
         "every_retry_logged": counts.get("retry", 0) == stats["retries"],
-        "every_rebuild_logged":
-            counts.get("pool_rebuild", 0) == stats["rebuilds"],
+        "every_respawn_logged":
+            counts.get("worker_respawn", 0) == stats["respawns"],
         "retries_name_cells": all(e.get("key") for e in retries),
         "cells_with_telemetry": sweep.cell_count,
-        "survived_rebuilds": stats["rebuilds"] >= 1,
+        "survived_respawns": stats["respawns"] >= 1,
         "zero_quarantined": stats["quarantined"] == 0,
         "chaos_identical": _canon(baseline) == _canon(chaos),
     }
@@ -992,25 +987,22 @@ def bench_chaos_events(scale: float, seeds, jobs: int = 2,
 
 def bench_backends(scale: float, seeds, jobs: int = 4,
                    repeats: int = 2) -> dict:
-    """Serial vs legacy pool vs persistent executor on one sweep grid.
+    """Serial vs persistent executor on one sweep grid.
 
-    Runs the (seed, mode) cell grid through all three registered
-    backends — serial in-process, the spawn-per-sweep pool, and the
-    persistent warm-worker executor — min-of-N wall each, asserts
-    three-way byte-identity outside ``"_perf"`` plus declaration-order
-    merging, and scores the persistent executor against the serial
-    wall (``sweep_speedup``) and the legacy pool
-    (``speedup_vs_pool``).
+    Runs the (seed, mode) cell grid serially in-process (``jobs=1``)
+    and on the persistent warm-worker executor (``jobs=N``), min-of-N
+    wall each, asserts byte-identity outside ``"_perf"`` plus
+    declaration-order merging, and scores the persistent executor
+    against the serial wall (``sweep_speedup``).
 
     A throwaway warm-up sweep runs first so worker spawn cost is
     amortised the way real multi-sweep sessions amortise it — the warm
-    pool *is* the tentpole; the cold start is reported separately as
+    workers *are* the point; the cold start is reported separately as
     ``warmup_wall_s``.  ``workers_stayed_warm`` proves the measured
     persistent sweeps were served by the pre-warmed processes (zero
     new spawns after warm-up).  The ≥4-CPU honesty verdict
     (``meets_target``) is the caller's job.
     """
-    from repro.perf.backend import BACKENDS
     from repro.perf.persistent import get_default_executor
     from repro.perf.pool import run_cells
 
@@ -1019,19 +1011,18 @@ def bench_backends(scale: float, seeds, jobs: int = 4,
 
     executor = get_default_executor()
     t0 = time.perf_counter()
-    run_cells(cells[:jobs], jobs=jobs, backend="persistent")
+    run_cells(cells[:jobs], jobs=jobs)
     warmup_s = time.perf_counter() - t0
     spawns_before = executor.stats["spawns"]
 
     walls, walls_all, canons = {}, {}, {}
     order_preserved = True
-    for name, run_jobs in (("serial", 1), ("pool", jobs),
-                           ("persistent", jobs)):
+    for name, run_jobs in (("serial", 1), ("persistent", jobs)):
         runs = []
         merged = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            merged = run_cells(cells, jobs=run_jobs, backend=name)
+            merged = run_cells(cells, jobs=run_jobs)
             runs.append(time.perf_counter() - t0)
         walls[name] = min(runs)
         walls_all[name] = runs
@@ -1045,77 +1036,17 @@ def bench_backends(scale: float, seeds, jobs: int = 4,
         "cells": len(cells),
         "jobs": jobs,
         "repeats": repeats,
-        "registered_backends": sorted(BACKENDS),
         "warmup_wall_s": warmup_s,
         "serial_wall_s": walls["serial"],
-        "pool_wall_s": walls["pool"],
         "persistent_wall_s": walls["persistent"],
         "wall_s_all": walls_all,
         "sweep_speedup": (walls["serial"] / walls["persistent"]
                           if walls["persistent"] > 0 else None),
-        "speedup_vs_pool": (walls["pool"] / walls["persistent"]
-                            if walls["persistent"] > 0 else None),
         "speedup_target": SWEEP_SPEEDUP_TARGET,
-        "records_identical": (canons["serial"] == canons["pool"]
-                              == canons["persistent"]),
+        "records_identical": canons["serial"] == canons["persistent"],
         "merge_order_preserved": order_preserved,
         "workers_stayed_warm": stats["spawns"] == spawns_before,
         "executor_stats": stats,
-    }
-
-
-def bench_backend_chaos(scale: float, seeds, jobs: int = 2,
-                        max_retries: int = 8) -> dict:
-    """The :func:`bench_chaos` scenario on the persistent backend.
-
-    Same provably-quarantine-free crash plan, but the supervisor must
-    now answer each injected crash *surgically*: respawn exactly the
-    worker that died (``respawns`` ≥ 1) and never tear down the world
-    (``rebuilds`` == 0) — the legacy pool's all-workers rebuild is the
-    failure mode the persistent loop exists to avoid — while still
-    merging byte-identical to the fault-free serial baseline with
-    nothing quarantined.
-    """
-    from repro.perf.backend import set_default_backend
-    from repro.perf.supervisor import (
-        Supervisor,
-        SupervisorConfig,
-        set_default_supervisor,
-    )
-
-    base = GangConfig("LU", "B", nprocs=1, scale=scale)
-    n_cells = 3 * len(seeds)
-    plan, schedule = _find_chaos_plan(n_cells)
-
-    baseline = multi_seed.replicate(base, seeds=seeds, jobs=1)
-
-    supervisor = Supervisor(SupervisorConfig(
-        max_retries=max_retries, worker_faults=plan,
-        backoff_base_s=0.0, backoff_max_s=0.0, poll_interval_s=0.02))
-    set_default_supervisor(supervisor)
-    set_default_backend("persistent")
-    try:
-        t0 = time.perf_counter()
-        chaos = multi_seed.replicate(base, seeds=seeds, jobs=jobs)
-        chaos_s = time.perf_counter() - t0
-    finally:
-        set_default_backend(None)
-        set_default_supervisor(None)
-
-    stats = dict(supervisor.stats)
-    return {
-        "label": f"multi_seed {base.label()} seeds={list(seeds)}",
-        "cells": n_cells,
-        "jobs": jobs,
-        "fault_plan": {"crash_rate": plan.crash_rate, "seed": plan.seed},
-        "injected_crashes": len(schedule),
-        "max_retries": max_retries,
-        "chaos_wall_s": chaos_s,
-        "supervisor_stats": stats,
-        "respawned_surgically": stats["respawns"] >= 1,
-        "no_world_rebuilds": stats["rebuilds"] == 0,
-        "zero_quarantined": stats["quarantined"] == 0,
-        "chaos_identical": _canon(baseline) == _canon(chaos),
     }
 
 
@@ -1384,9 +1315,17 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if not chaos_bench["survived_rebuilds"]:
-            print("FAIL: no pool rebuild happened — the crash plan "
+        if not chaos_bench["survived_respawns"]:
+            print("FAIL: no worker respawn happened — the crash plan "
                   "never engaged", file=sys.stderr)
+            return 1
+        if not chaos_bench["respawned_surgically"]:
+            print(
+                f"FAIL: {chaos_bench['supervisor_stats']['respawns']} "
+                f"worker respawns for {chaos_bench['injected_crashes']} "
+                f"injected crashes — expected exactly one per crash",
+                file=sys.stderr,
+            )
             return 1
 
     if wanted["pr7"]:
@@ -1486,12 +1425,13 @@ def main(argv=None) -> int:
              "serial run"),
             ("zero_quarantined",
              "instrumented chaos sweep quarantined cells"),
-            ("survived_rebuilds",
-             "no pool rebuild happened — the crash plan never engaged"),
+            ("survived_respawns",
+             "no worker respawn happened — the crash plan never "
+             "engaged"),
             ("every_retry_logged",
              "event log is missing retries the supervisor counted"),
-            ("every_rebuild_logged",
-             "event log is missing pool rebuilds the supervisor "
+            ("every_respawn_logged",
+             "event log is missing worker respawns the supervisor "
              "counted"),
             ("retries_name_cells",
              "retry events do not all name their cell key"),
@@ -1505,14 +1445,10 @@ def main(argv=None) -> int:
             backends_bench = bench_backends(
                 scale=0.05, seeds=(1, 2, 3, 4), jobs=args.jobs,
                 repeats=2)
-            backend_chaos = bench_backend_chaos(
-                scale=0.05, seeds=(1, 2), jobs=2)
         else:
             backends_bench = bench_backends(
                 scale=0.1, seeds=tuple(range(1, 17)), jobs=args.jobs,
                 repeats=max(2, args.repeats - 1))
-            backend_chaos = bench_backend_chaos(
-                scale=0.1, seeds=(1, 2, 3, 4), jobs=args.jobs)
 
         speedup = backends_bench["sweep_speedup"]
         # the multi-core floor is judged only where it can be met
@@ -1531,37 +1467,20 @@ def main(argv=None) -> int:
             "mode": mode,
             "host_cpu_count": os.cpu_count(),
             "backends": backends_bench,
-            "backend_chaos": backend_chaos,
             "sweep_trajectory": sweep_trajectory(
                 speedup, jobs=args.jobs, note=note),
         }, args.pr10_out)
         for field, msg in (
             ("records_identical",
-             "backend outputs diverged — serial, pool and persistent "
+             "persistent sweep diverged from the serial run — they "
              "must merge byte-identically"),
             ("merge_order_preserved",
-             "a backend merged cells out of declaration order"),
+             "a sweep merged cells out of declaration order"),
             ("workers_stayed_warm",
              "persistent executor spawned workers after warm-up — the "
-             "warm pool never engaged"),
+             "warm workers never engaged"),
         ):
             if not backends_bench[field]:
-                print(f"FAIL: {msg}", file=sys.stderr)
-                return 1
-        for field, msg in (
-            ("chaos_identical",
-             "chaos sweep on the persistent backend diverged from the "
-             "fault-free serial run"),
-            ("zero_quarantined",
-             "persistent-backend chaos sweep quarantined cells"),
-            ("respawned_surgically",
-             "no worker respawn happened — the crash plan never "
-             "engaged the persistent loop"),
-            ("no_world_rebuilds",
-             "persistent backend fell back to a world rebuild instead "
-             "of a surgical respawn"),
-        ):
-            if not backend_chaos[field]:
                 print(f"FAIL: {msg}", file=sys.stderr)
                 return 1
         if meets is False:

@@ -25,10 +25,10 @@ backoff), ``--cell-timeout SECONDS`` (fixed per-cell deadline; hung
 workers are killed and the cell rescheduled) and ``--resume`` (skip
 cells a previous interrupted run already completed, via the journal
 under ``results/.sweepjournal``).  Any of them installs the sweep
-supervisor (``repro.perf.supervisor``): worker crashes rebuild the
-pool instead of sinking the sweep, and cells that exhaust their
-retries are quarantined under the reserved ``"_failed"`` key of the
-merged record.
+supervisor (``repro.perf.supervisor``): a crashed or hung worker is
+replaced by one fresh worker instead of sinking the sweep, and cells
+that exhaust their retries are quarantined under the reserved
+``"_failed"`` key of the merged record.
 
 ``--cache`` enables the content-addressed cell result cache
 (``results/.cellcache``): sweep cells whose code + config fingerprint
@@ -240,36 +240,14 @@ def _cache_finish(cache) -> None:
           f"{s['bytes'] / 1024:.0f} KiB at {s['root']})")
 
 
-def _backend_begin(args):
-    """Install the process-default executor backend from ``--backend``.
-
-    ``auto`` (the default) installs the persistent warm-worker
-    executor, so CLI sweeps — bare *and* supervised — share one warm
-    worker set across every ``run_cells`` call of the invocation.
-    Explicit names install that backend; results are byte-identical
-    across all of them (see repro.perf.backend).
-    """
-    spec = getattr(args, "backend", None)
-    if spec is None:
-        return None
-    from repro.perf.backend import set_default_backend
-
-    set_default_backend("persistent" if spec == "auto" else spec)
-    return spec
-
-
-def _backend_finish(handle) -> None:
-    """Print warm-executor stats (if one was spun up), uninstall the
-    default backend, and shut the workers down."""
-    if handle is None:
-        return
-    from repro.perf.backend import set_default_backend
+def _executor_finish() -> None:
+    """Print warm-executor stats (if one was spun up) and shut the
+    workers down."""
     from repro.perf.persistent import (
         peek_default_executor,
         shutdown_default_executor,
     )
 
-    set_default_backend(None)
     executor = peek_default_executor()
     if executor is not None:
         s = executor.stats
@@ -321,7 +299,6 @@ def _supervisor_finish(supervisor) -> None:
     s = supervisor.stats
     print(f"\nsupervisor: {s['completed']} cells completed, "
           f"{s['resumed']} resumed, {s['retries']} retries, "
-          f"{s['rebuilds']} pool rebuilds, "
           f"{s['respawns']} worker respawns, "
           f"{s['timeouts']} timeouts, "
           f"{s['deadline_extensions']} deadline extensions, "
@@ -368,14 +345,13 @@ def cmd_run(args) -> int:
     reg = _obs_begin(args)
     cache = _cache_begin(args)
     supervisor = _supervisor_begin(args)
-    backend = _backend_begin(args)
     try:
         record = _profiled(
             args, args.experiment,
             lambda: module.run(**_run_kwargs(module, args)),
         )
     finally:
-        _backend_finish(backend)
+        _executor_finish()
         _supervisor_finish(supervisor)
         _cache_finish(cache)
         _obs_finish(reg, args)
@@ -391,7 +367,6 @@ def cmd_all(args) -> int:
     reg = _obs_begin(args)
     cache = _cache_begin(args)
     supervisor = _supervisor_begin(args)
-    backend = _backend_begin(args)
 
     def _run_all():
         for key, (module, desc) in EXPERIMENTS.items():
@@ -401,7 +376,7 @@ def cmd_all(args) -> int:
     try:
         _profiled(args, "all", _run_all)
     finally:
-        _backend_finish(backend)
+        _executor_finish()
         _supervisor_finish(supervisor)
         _cache_finish(cache)
         _obs_finish(reg, args)
@@ -504,12 +479,11 @@ def cmd_replicate(args) -> int:
                      scale=args.scale)
     reg = _obs_begin(args)
     supervisor = _supervisor_begin(args)
-    backend = _backend_begin(args)
     try:
         record = replicate(cfg, policy=args.policy, seeds=args.seeds,
                            jobs=args.jobs)
     finally:
-        _backend_finish(backend)
+        _executor_finish()
         _supervisor_finish(supervisor)
         _obs_finish(reg, args)
     print(render(record, label=cfg.label()))
@@ -546,17 +520,6 @@ def main(argv=None) -> int:
         # repro.faults.worker.WorkerFaultPlan.parse)
         p.add_argument("--chaos", default=None, help=argparse.SUPPRESS)
 
-    def add_backend_flag(p) -> None:
-        """The executor-backend selector shared by run/all/replicate."""
-        p.add_argument("--backend", default="auto",
-                       choices=("auto", "serial", "pool", "persistent"),
-                       help="sweep executor backend: 'persistent' = warm "
-                            "worker processes reused across sweeps "
-                            "(default via 'auto'), 'pool' = legacy "
-                            "spawn-per-sweep pool, 'serial' = in-process; "
-                            "merged results are byte-identical across "
-                            "backends")
-
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("experiment", help="experiment key (see `list`)")
     p_run.add_argument("--scale", type=float, default=1.0)
@@ -566,7 +529,6 @@ def main(argv=None) -> int:
                             "(1 = serial, 'auto' = host CPU count; "
                             "results are identical)")
     add_resilience_flags(p_run)
-    add_backend_flag(p_run)
     p_run.add_argument("--json", metavar="PATH",
                        help="also write the structured record as JSON")
     p_run.add_argument("--obs", action="store_true",
@@ -590,7 +552,6 @@ def main(argv=None) -> int:
                        help="worker processes for sweep experiments "
                             "('auto' = host CPU count)")
     add_resilience_flags(p_all)
-    add_backend_flag(p_all)
     p_all.add_argument("--obs", action="store_true",
                        help="collect telemetry across all experiments")
     p_all.add_argument("--trace-out", metavar="FILE",
@@ -627,7 +588,6 @@ def main(argv=None) -> int:
                        help="write the merged cross-cell Chrome trace "
                             "(implies --obs)")
     add_resilience_flags(p_rep)
-    add_backend_flag(p_rep)
 
     p_obs = sub.add_parser(
         "obs", help="switch-phase / event-log report from a saved "

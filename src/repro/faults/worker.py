@@ -7,8 +7,8 @@ run sweep cells under :class:`repro.perf.supervisor.Supervisor`.  Three
 kinds are supported:
 
 * ``crash`` — the worker calls ``os._exit`` before running the cell,
-  which surfaces in the parent as ``BrokenProcessPool`` (the supervisor
-  must rebuild the pool and retry);
+  which surfaces in the parent as a dead worker (the supervisor must
+  respawn it and retry the cell);
 * ``hang`` — the worker sleeps for ``hang_s`` before running the cell,
   which trips the supervisor's per-cell deadline watchdog;
 * ``slow`` — the worker sleeps for ``slow_start_s`` before running the

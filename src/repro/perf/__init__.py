@@ -1,18 +1,8 @@
-"""Parallel experiment execution (cell pool), pluggable executor
-backends (serial / legacy pool / persistent warm workers), supervised
-resilient sweeps, result caching and perf instrumentation."""
+"""Parallel experiment execution: the cell model (in-process for one
+job, persistent warm workers for more), supervised resilient sweeps,
+result caching and perf instrumentation."""
 
-from repro.perf.backend import (
-    BACKENDS,
-    ExecutorBackend,
-    PersistentBackend,
-    PoolBackend,
-    SerialBackend,
-    get_default_backend,
-    resolve_backend,
-    resolve_jobs,
-    set_default_backend,
-)
+from repro.perf.backend import PersistentBackend, resolve_jobs
 from repro.perf.cache import (
     CellCache,
     code_version,
@@ -41,16 +31,12 @@ from repro.perf.supervisor import (
 )
 
 __all__ = [
-    "BACKENDS",
     "Cell",
     "CellCache",
-    "ExecutorBackend",
     "FAILED_KEY",
     "PersistentBackend",
     "PersistentExecutor",
-    "PoolBackend",
     "QuarantinedCells",
-    "SerialBackend",
     "SpecTable",
     "SpecView",
     "StealScheduler",
@@ -60,16 +46,13 @@ __all__ = [
     "code_version",
     "fingerprint",
     "fsync_dir",
-    "get_default_backend",
     "get_default_cache",
     "get_default_executor",
     "get_default_supervisor",
     "quarantined",
     "require_ok",
-    "resolve_backend",
     "resolve_jobs",
     "run_cells",
-    "set_default_backend",
     "set_default_cache",
     "set_default_supervisor",
     "shutdown_default_executor",

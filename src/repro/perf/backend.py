@@ -1,68 +1,36 @@
-"""Pluggable sweep executor backends.
+"""How a bare parallel sweep reaches the persistent warm workers.
 
-:func:`repro.perf.pool.run_cells` and the PR 6
-:class:`~repro.perf.supervisor.Supervisor` no longer hard-code *how*
-cells reach worker processes — they execute through an
-:class:`ExecutorBackend`:
+:func:`repro.perf.pool.run_cells` runs ``jobs == 1`` sweeps (and
+sweeps with at most one cell left to run) in-process; every ``jobs > 1``
+sweep goes through :meth:`PersistentBackend.run` on the process-wide
+warm executor (:mod:`repro.perf.persistent`).  The supervised path
+(:class:`~repro.perf.supervisor.Supervisor`) drives the same executor
+with its own loop.
 
-* ``"serial"`` — in-process, one cell at a time (forced even when
-  ``jobs > 1``; useful for debugging and as the identity baseline);
-* ``"pool"`` — the legacy spawn-per-sweep
-  :class:`~concurrent.futures.ProcessPoolExecutor`, kept for
-  comparison benchmarks and as the conservative fallback;
-* ``"persistent"`` — the PR 10 warm-worker executor with zero-copy
-  spec-table dispatch and work stealing
-  (:mod:`repro.perf.persistent`); the default for parallel sweeps.
-
-Backend contract
-----------------
-Every backend — including a future multi-host dispatcher — must
-guarantee (see DESIGN.md §8 for the normative text):
+Contract (see DESIGN.md §8 for the normative text):
 
 1. **Deterministic merge.**  ``run`` returns one result per input
    cell *in input order*, regardless of completion order, worker
    count, or stealing.  Identity is byte-level outside the reserved
    ``"_perf"`` quarantine.
 2. **State reset.**  Every execution goes through
-   :func:`repro.perf.pool._execute` (or an exact equivalent), so
-   process-global state is reset per cell and a cell's result never
-   depends on which worker ran it or what ran before.
-3. **Fail-fast by default.**  Without a supervisor, the first cell
-   exception propagates to the caller with its original type and
-   message.  Retries, quarantine (``"_failed"``) and fingerprint-keyed
-   resume are *supervisor* semantics layered on top, not backend ones.
-
-Selection
----------
-``run_cells(backend=...)`` > process default
-(:func:`set_default_backend`, installed by the CLI ``--backend`` flag)
-> the ``REPRO_BACKEND`` env var > the built-in default (``persistent``
-for the bare path).  The supervisor resolves through the same chain
-but falls back to the legacy ``pool`` backend, whose
-rebuild-the-world semantics its historical contract (and test suite)
-pins; it also maps ``serial`` to ``pool`` because supervision without
-process isolation could neither contain crashes nor cancel hangs.
+   :func:`repro.perf.pool._execute`, so process-global state is reset
+   per cell and a cell's result never depends on which worker ran it
+   or what ran before.
+3. **Fail-fast.**  Without a supervisor, the first cell exception
+   propagates to the caller with its original type and message.
+   Retries, quarantine (``"_failed"``) and fingerprint-keyed resume
+   are *supervisor* semantics layered on top.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import Optional, Sequence
 
-#: env var naming the default backend when no explicit choice is made
-BACKEND_ENV = "REPRO_BACKEND"
 
-#: resolution order sentinel accepted anywhere a backend name is:
-#: "auto" defers to the default chain
-AUTO = "auto"
-
-
-class ExecutorBackend:
-    """How sweep cells reach (worker) processes — see module docs."""
-
-    #: registry name; also what ``--backend`` accepts
-    name: str = "?"
+class PersistentBackend:
+    """Bare (unsupervised) sweep on the warm-worker executor."""
 
     def run(self, cells: Sequence, jobs: int, capture: Optional[bool],
             prints: Optional[Sequence[str]] = None) -> list:
@@ -70,51 +38,8 @@ class ExecutorBackend:
 
         ``prints`` is the optional list of PR 4 content fingerprints
         aligned with ``cells`` (already computed by the caller when a
-        cache is active) — backends that dispatch by fingerprint reuse
-        them instead of re-hashing.
+        cache is active); it rides along in each task descriptor.
         """
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class SerialBackend(ExecutorBackend):
-    """In-process execution, one cell at a time."""
-
-    name = "serial"
-
-    def run(self, cells, jobs, capture, prints=None):
-        from repro.perf.pool import _execute
-
-        return [_execute(cell, capture) for cell in cells]
-
-
-class PoolBackend(ExecutorBackend):
-    """Legacy spawn-per-sweep ``ProcessPoolExecutor`` fan-out."""
-
-    name = "pool"
-
-    def run(self, cells, jobs, capture, prints=None):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.perf.pool import _execute
-
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells))
-        ) as pool:
-            # map() yields results in submission order regardless of
-            # which worker finishes first — the merge is deterministic
-            return list(pool.map(_execute, cells,
-                                 itertools.repeat(capture)))
-
-
-class PersistentBackend(ExecutorBackend):
-    """Warm-worker executor with work stealing (PR 10 tentpole)."""
-
-    name = "persistent"
-
-    def run(self, cells, jobs, capture, prints=None):
         from repro.perf.persistent import (StealScheduler,
                                            get_default_executor)
 
@@ -184,69 +109,10 @@ class PersistentBackend(ExecutorBackend):
         return results
 
 
-#: singleton registry — backends are stateless policy objects
-BACKENDS: dict[str, ExecutorBackend] = {
-    b.name: b for b in (SerialBackend(), PoolBackend(),
-                        PersistentBackend())
-}
-
-_default_backend: Optional[str] = None
-
-
-def get_default_backend() -> Optional[str]:
-    """The process-wide default backend name (``None`` = unset)."""
-    return _default_backend
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Install (or with ``None``/"auto" remove) the process default."""
-    global _default_backend
-    if name in (None, AUTO):
-        _default_backend = None
-        return
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
-    _default_backend = name
-
-
-def resolve_backend(spec=None, *,
-                    for_supervisor: bool = False) -> ExecutorBackend:
-    """Resolve a backend: explicit > default > env > built-in.
-
-    ``spec`` may be an :class:`ExecutorBackend` instance (used as is —
-    the seam a multi-host dispatcher plugs into), a registry name, or
-    ``None``/``"auto"`` to walk the default chain.  With
-    ``for_supervisor=True`` the built-in fallback is the legacy
-    ``pool`` backend and ``serial`` is promoted to ``pool`` (the
-    supervisor requires process isolation).
-    """
-    if isinstance(spec, ExecutorBackend):
-        return spec
-    name = spec if spec not in (None, AUTO) else None
-    if name is None:
-        name = get_default_backend()
-    if name is None:
-        env = os.environ.get(BACKEND_ENV, "").strip().lower()
-        name = env or None
-        if name == AUTO:
-            name = None
-    if name is None:
-        name = "pool" if for_supervisor else "persistent"
-    if for_supervisor and name == "serial":
-        name = "pool"
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-
-
 def resolve_jobs(jobs) -> int:
     """Parse a job count, accepting ``"auto"`` = ``os.cpu_count()``."""
     if isinstance(jobs, str):
-        if jobs.strip().lower() == AUTO:
+        if jobs.strip().lower() == "auto":
             return os.cpu_count() or 1
         jobs = int(jobs)
     if jobs < 1:
@@ -254,16 +120,4 @@ def resolve_jobs(jobs) -> int:
     return jobs
 
 
-__all__ = [
-    "AUTO",
-    "BACKENDS",
-    "BACKEND_ENV",
-    "ExecutorBackend",
-    "PersistentBackend",
-    "PoolBackend",
-    "SerialBackend",
-    "get_default_backend",
-    "resolve_backend",
-    "resolve_jobs",
-    "set_default_backend",
-]
+__all__ = ["PersistentBackend", "resolve_jobs"]

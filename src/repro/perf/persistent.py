@@ -1,9 +1,8 @@
 """Persistent warm-worker executor with work stealing.
 
-The legacy sweep path (:mod:`repro.perf.pool`) builds a fresh
-``ProcessPoolExecutor`` per sweep: every worker re-imports the whole
-simulation stack, every cell re-pickles its full payload, and the
-BENCH_PR2 result — parallel *slower* than serial at 0.74× — is the
+A pool built fresh per sweep makes every worker re-import the whole
+simulation stack and every cell re-pickle its full payload; the
+BENCH_PR2 result — parallel *slower* than serial at 0.74× — was the
 bill.  :class:`PersistentExecutor` amortises all of it:
 
 * **Warm workers.**  Worker processes are spawned once (forkserver
@@ -11,8 +10,9 @@ bill.  :class:`PersistentExecutor` amortises all of it:
   that already imported ``repro``), pre-warm the hot modules
   (:func:`repro.perf.worker.prewarm`), and serve every subsequent
   sweep of the process.  A module-level default executor
-  (:func:`get_default_executor`) is shared by the persistent backend
-  and the supervisor and shut down atexit.
+  (:func:`get_default_executor`) is shared by bare
+  :func:`~repro.perf.pool.run_cells` sweeps and the supervisor and
+  shut down atexit.
 * **Compact dispatch.**  A sweep begins by shipping one shared
   read-only :class:`~repro.perf.spec.SpecTable`; after that each task
   message is a ``(generation, index, attempt, fingerprint)``
@@ -58,30 +58,20 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.perf.spec import SpecTable
 
-#: env override for the multiprocessing start method
-START_METHOD_ENV = "REPRO_MP_START"
-
 _CTX = None
 
 
 def start_method() -> str:
-    """The worker start method: env override, else forkserver > spawn.
+    """The worker start method: forkserver where available, else spawn.
 
-    ``fork`` is accepted via the override but never chosen by default:
-    a forked worker inherits arbitrary parent state (open files,
-    half-warmed caches), while forkserver children fork from a clean
-    pre-warmed interpreter and spawn children import from scratch.
+    ``fork`` is never chosen: a forked worker inherits arbitrary parent
+    state (open files, half-warmed caches), while forkserver children
+    fork from a clean pre-warmed interpreter and spawn children import
+    from scratch.
     """
     import multiprocessing as mp
 
     methods = mp.get_all_start_methods()
-    choice = os.environ.get(START_METHOD_ENV, "").strip().lower()
-    if choice:
-        if choice not in methods:
-            raise ValueError(
-                f"{START_METHOD_ENV}={choice!r} not available; choose "
-                f"from {methods}")
-        return choice
     return "forkserver" if "forkserver" in methods else "spawn"
 
 
@@ -482,7 +472,7 @@ _default_executor: Optional[PersistentExecutor] = None
 def get_default_executor() -> PersistentExecutor:
     """The process-wide warm executor (created on first use).
 
-    Shared by every persistent-backend sweep of the process — this
+    Shared by every parallel sweep of the process — this
     sharing *is* the optimisation: workers spawned for the first sweep
     stay warm for every later one.  Shut down atexit (workers are
     daemonic besides, so even a hard parent death leaks nothing).
@@ -511,7 +501,6 @@ atexit.register(shutdown_default_executor)
 
 __all__ = [
     "PersistentExecutor",
-    "START_METHOD_ENV",
     "StealScheduler",
     "WorkerEvent",
     "get_default_executor",

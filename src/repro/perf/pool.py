@@ -3,12 +3,10 @@
 A sweep experiment (multi-seed replication, sensitivity grid, extension
 matrices) is a set of *cells* — fully independent simulation runs, each
 described by a picklable callable plus keyword arguments.  The pool runs
-the cells either serially in-process (``jobs=1``, the default) or
-through a pluggable :class:`~repro.perf.backend.ExecutorBackend` —
-by default the PR 10 persistent warm-worker executor
-(:mod:`repro.perf.persistent`), optionally the legacy spawn-per-sweep
-``ProcessPoolExecutor`` (``backend="pool"``) — and returns results
-keyed by each cell's declared key **in cell-declaration order**.
+the cells either serially in-process (``jobs=1``, the default) or on the
+persistent warm-worker executor (:mod:`repro.perf.persistent`, reached
+through :class:`repro.perf.backend.PersistentBackend`), and returns
+results keyed by each cell's declared key **in cell-declaration order**.
 
 Determinism contract
 --------------------
@@ -18,10 +16,9 @@ Parallel output is bit-for-bit identical to serial output:
   global the simulation stack mutates is the :class:`~repro.gang.job.Job`
   jid counter, which :func:`_execute` resets before every cell in both
   the serial and the parallel path;
-* the merge is keyed by *cell index*, never by completion order: the
-  legacy pool's ``map`` preserves submission order, and the persistent
-  backend writes each result into its cell's slot, so work stealing
-  and out-of-order completion cannot reorder the merged record;
+* the merge is keyed by *cell index*, never by completion order: each
+  result is written into its cell's slot, so work stealing and
+  out-of-order completion cannot reorder the merged record;
 * wall-clock / RSS measurements are inherently nondeterministic, so cell
   functions must quarantine them under the reserved ``"_perf"`` key of
   their result dict (see :func:`repro.experiments.runner.run_cell`);
@@ -118,22 +115,14 @@ def _check_cells(cells: Sequence[Cell]) -> list[Hashable]:
 
 def run_cells(
     cells: Iterable[Cell] | Sequence[Cell], jobs: int = 1, cache=None,
-    supervisor=None, sweep_obs=None, backend=None,
+    supervisor=None, sweep_obs=None,
 ) -> dict[Hashable, Any]:
     """Run ``cells`` and return ``{cell.key: result}`` in cell order.
 
     ``jobs=1`` (default) runs everything serially in-process; ``jobs>1``
-    fans cells across that many worker processes.  Either way the result
-    mapping is built in declaration order, so iteration over the return
-    value is deterministic and identical across job counts.
-
-    ``backend`` selects how parallel cells reach workers: a
-    :class:`repro.perf.backend.ExecutorBackend` instance, a registry
-    name (``"serial"`` / ``"pool"`` / ``"persistent"``), or ``None``
-    to walk the default chain (process default installed by the CLI's
-    ``--backend`` flag, then the ``REPRO_BACKEND`` env var, then the
-    persistent warm-worker executor).  The merge contract is identical
-    for every backend.
+    fans cells across that many persistent warm workers.  Either way the
+    result mapping is built in declaration order, so iteration over the
+    return value is deterministic and identical across job counts.
 
     ``cache`` is an optional :class:`repro.perf.cache.CellCache`; when
     omitted, the process default (installed by the CLI's ``--cache``
@@ -150,7 +139,7 @@ def run_cells(
     ``--cell-timeout`` / ``--resume`` flags via
     :func:`repro.perf.supervisor.set_default_supervisor`) is consulted.
     With a supervisor the sweep gains retries, per-cell deadlines,
-    pool rebuilds, poison-cell quarantine and checkpoint/resume; the
+    worker respawns, poison-cell quarantine and checkpoint/resume; the
     merge contract is unchanged.  Without one, this bare path keeps
     its historical fail-fast semantics: the first cell exception
     propagates.
@@ -183,7 +172,7 @@ def run_cells(
         supervisor = get_default_supervisor()
     if supervisor is not None:
         merged = supervisor.run(cells, jobs=jobs, cache=cache,
-                                capture=capture, backend=backend)
+                                capture=capture)
         if sweep_obs is not None:
             sweep_obs.absorb_results(merged)
         return merged
@@ -213,11 +202,11 @@ def run_cells(
         if jobs == 1 or len(todo) <= 1:
             fresh = [_execute(c, capture) for _, c in todo]
         else:
-            from repro.perf.backend import resolve_backend
+            from repro.perf.backend import PersistentBackend
 
             todo_prints = [prints[i] for i, _ in todo] if prints \
                 else None
-            fresh = resolve_backend(backend).run(
+            fresh = PersistentBackend().run(
                 [c for _, c in todo], jobs, capture,
                 prints=todo_prints)
         for (i, cell), result in zip(todo, fresh):

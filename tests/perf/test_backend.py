@@ -1,5 +1,5 @@
-"""The pluggable executor-backend seam (repro.perf.backend): registry,
-resolution chain, jobs parsing, and the cross-backend identity and
+"""The sweep executor path (repro.perf.backend): jobs parsing, the
+in-process ``jobs=1`` path, and the persistent executor's identity and
 fail-fast contracts."""
 
 import json
@@ -9,28 +9,9 @@ import pytest
 
 from repro.experiments.report_io import _sanitise
 from repro.perf import Cell, run_cells
-from repro.perf.backend import (
-    BACKEND_ENV,
-    BACKENDS,
-    ExecutorBackend,
-    PersistentBackend,
-    PoolBackend,
-    SerialBackend,
-    get_default_backend,
-    resolve_backend,
-    resolve_jobs,
-    set_default_backend,
-)
+from repro.perf.backend import resolve_jobs
 
 from tests.perf import _backend_cells as bc
-
-
-@pytest.fixture(autouse=True)
-def _clean_backend_state(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
 
 
 def canon(merged):
@@ -48,68 +29,8 @@ def make_grid(n=8):
 
 
 # ---------------------------------------------------------------------------
-# registry + resolution
+# jobs parsing
 # ---------------------------------------------------------------------------
-def test_registry_holds_the_three_backends():
-    assert set(BACKENDS) == {"serial", "pool", "persistent"}
-    assert isinstance(BACKENDS["serial"], SerialBackend)
-    assert isinstance(BACKENDS["pool"], PoolBackend)
-    assert isinstance(BACKENDS["persistent"], PersistentBackend)
-    for name, be in BACKENDS.items():
-        assert be.name == name
-
-
-def test_resolve_explicit_instance_passes_through():
-    class Custom(ExecutorBackend):
-        name = "custom"
-
-    be = Custom()
-    assert resolve_backend(be) is be
-    assert resolve_backend(be, for_supervisor=True) is be
-
-
-def test_resolve_by_name_and_unknown():
-    assert resolve_backend("serial") is BACKENDS["serial"]
-    assert resolve_backend("pool") is BACKENDS["pool"]
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("bogus")
-
-
-def test_builtin_defaults():
-    # bare path defaults to the warm executor; the supervisor keeps
-    # its historical pool semantics unless told otherwise
-    assert resolve_backend(None).name == "persistent"
-    assert resolve_backend("auto").name == "persistent"
-    assert resolve_backend(None, for_supervisor=True).name == "pool"
-    # supervision requires process isolation: serial is promoted
-    assert resolve_backend("serial", for_supervisor=True).name == "pool"
-
-
-def test_process_default_beats_env(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "persistent")
-    set_default_backend("serial")
-    assert get_default_backend() == "serial"
-    assert resolve_backend(None).name == "serial"
-    # explicit spec still wins over the installed default
-    assert resolve_backend("pool").name == "pool"
-    set_default_backend(None)
-    assert resolve_backend(None).name == "persistent"  # env takes over
-
-
-def test_env_fallback(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "serial")
-    assert resolve_backend(None).name == "serial"
-    monkeypatch.setenv(BACKEND_ENV, "auto")
-    assert resolve_backend(None).name == "persistent"
-
-
-def test_set_default_backend_validates():
-    with pytest.raises(ValueError, match="unknown backend"):
-        set_default_backend("bogus")
-    set_default_backend("auto")  # alias for "unset"
-    assert get_default_backend() is None
-
-
 def test_resolve_jobs():
     assert resolve_jobs(3) == 3
     assert resolve_jobs("3") == 3
@@ -121,19 +42,22 @@ def test_resolve_jobs():
 # ---------------------------------------------------------------------------
 # execution contracts
 # ---------------------------------------------------------------------------
-def test_serial_backend_ignores_jobs_and_stays_in_process():
+def test_jobs_one_stays_in_process():
     cells = [Cell(("who", i), bc.whoami, {"x": i}) for i in range(4)]
-    merged = run_cells(cells, jobs=4, backend="serial")
+    merged = run_cells(cells, jobs=1)
     assert {r["pid"] for r in merged.values()} == {os.getpid()}
+    # more than one job leaves the process for the warm workers
+    merged = run_cells(cells, jobs=2)
+    assert os.getpid() not in {r["pid"] for r in merged.values()}
 
 
 def test_cross_backend_identity():
+    # in-process jobs=1 against the persistent workers at jobs=3
     cells = make_grid(8)
     reference = canon(run_cells(cells, jobs=1))
-    for name in ("serial", "pool", "persistent"):
-        merged = run_cells(cells, jobs=3, backend=name)
-        assert canon(merged) == reference, name
-        assert list(merged) == [c.key for c in cells], name
+    merged = run_cells(cells, jobs=3)
+    assert canon(merged) == reference
+    assert list(merged) == [c.key for c in cells]
 
 
 def test_persistent_failure_is_fail_fast_and_deterministic():
@@ -144,11 +68,4 @@ def test_persistent_failure_is_fail_fast_and_deterministic():
     # finished first, and the original exception type/message survive
     # the pipe
     with pytest.raises(ValueError, match="first bad cell"):
-        run_cells(cells, jobs=3, backend="persistent")
-
-
-def test_env_selected_backend_reaches_run_cells(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "serial")
-    cells = [Cell(("who", i), bc.whoami, {"x": i}) for i in range(3)]
-    merged = run_cells(cells, jobs=3)  # no explicit backend anywhere
-    assert {r["pid"] for r in merged.values()} == {os.getpid()}
+        run_cells(cells, jobs=3)

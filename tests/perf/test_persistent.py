@@ -4,11 +4,9 @@ transport selection, the work-stealing scheduler, warm worker reuse,
 and sweep-generation hygiene."""
 
 import numpy as np
-import pytest
 
 from repro.perf import Cell, run_cells
 from repro.perf.persistent import (
-    START_METHOD_ENV,
     StealScheduler,
     get_default_executor,
     start_method,
@@ -137,11 +135,11 @@ def test_push_front_priority():
 def test_workers_stay_warm_across_sweeps():
     executor = get_default_executor()
     cells = make_grid(6)
-    run_cells(cells, jobs=2, backend="persistent")
+    run_cells(cells, jobs=2)
     pids_before = executor.worker_pids()
     sweeps_before = executor.stats["sweeps"]
     dispatches_before = executor.stats["dispatches"]
-    run_cells(cells, jobs=2, backend="persistent")
+    run_cells(cells, jobs=2)
     pids_after = executor.worker_pids()
     # same processes served both sweeps — the whole point
     assert set(pids_before.items()) <= set(pids_after.items())
@@ -151,12 +149,12 @@ def test_workers_stay_warm_across_sweeps():
 
 def test_worker_annotation_only_inside_existing_perf():
     plain = [Cell(("sq", i), bc.square, {"x": i}) for i in range(4)]
-    merged = run_cells(plain, jobs=2, backend="persistent")
+    merged = run_cells(plain, jobs=2)
     # plain results stay byte-identical to serial: no quarantine added
     assert all("_perf" not in r for r in merged.values())
 
     tagged = [Cell(("p", i), bc.perf_cell, {"x": i}) for i in range(4)]
-    merged = run_cells(tagged, jobs=2, backend="persistent")
+    merged = run_cells(tagged, jobs=2)
     wids = {r["_perf"]["worker"] for r in merged.values()}
     assert wids  # every cell records which worker ran it
     assert all(isinstance(w, int) for w in wids)
@@ -171,7 +169,7 @@ def test_abandoned_sweep_results_are_dropped_by_generation():
     stale_before = executor.stats["stale_results"]
     # abandon that sweep mid-flight; the busy worker is left draining
     # and a fresh one serves the new sweep
-    merged = run_cells(make_grid(4), jobs=2, backend="persistent")
+    merged = run_cells(make_grid(4), jobs=2)
     assert [r["sq"] for r in merged.values()] == [0, 1, 4, 9]
     # the old sweep's late result must be recognised and dropped
     deadline = 50
@@ -181,9 +179,5 @@ def test_abandoned_sweep_results_are_dropped_by_generation():
     assert executor.stats["stale_results"] == stale_before + 1
 
 
-def test_start_method_env_validation(monkeypatch):
-    monkeypatch.setenv(START_METHOD_ENV, "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        start_method()
-    monkeypatch.delenv(START_METHOD_ENV)
+def test_start_method_default():
     assert start_method() in ("forkserver", "spawn")

@@ -1,6 +1,6 @@
 """Permutation / work-stealing equivalence suite (PR 10, satellite 3).
 
-The executor-backend contract says completion order is invisible: the
+The executor contract says completion order is invisible: the
 merged record, the journal and the cell store must come out identical
 whether cells finished in declaration order, adversarially scrambled
 order, under work stealing, or across injected worker crashes.  These
@@ -88,7 +88,7 @@ def find_plan(n_cells, max_retries, need, max_faulted=2, **rates):
 def test_scrambled_completion_order_is_invisible(delays):
     cells = delay_cells(delays)
     reference = canon(run_cells(cells, jobs=1))
-    merged = run_cells(cells, jobs=3, backend="persistent")
+    merged = run_cells(cells, jobs=3)
     assert canon(merged) == reference
     assert list(merged) == [c.key for c in cells]
 
@@ -135,49 +135,33 @@ def test_steals_happen_and_leave_no_trace():
 
 
 # ---------------------------------------------------------------------------
-# crash chaos: identical records, journals and stores across backends
+# crash chaos: record, journal and store identical to the serial run
 # ---------------------------------------------------------------------------
 def test_crash_chaos_identity_across_backends(tmp_path):
     cells = [Cell(("sq", i), bc.square, {"x": i}) for i in range(8)]
-    reference = canon(run_cells(cells, jobs=1))
+    serial = run_cells(cells, jobs=1)
     plan = find_plan(8, max_retries=3, need={"crash"}, crash_rate=0.25)
 
-    merged = {}
-    sups = {}
-    for backend in ("persistent", "pool"):
-        jdir = tmp_path / backend
-        sup = Supervisor(cfg(max_retries=3, journal=True,
-                             journal_dir=jdir, worker_faults=plan))
-        merged[backend] = sup.run(cells, jobs=3, backend=backend)
-        sups[backend] = sup
-        assert canon(merged[backend]) == reference, backend
-        assert sup.stats["quarantined"] == 0, backend
+    sup = Supervisor(cfg(max_retries=3, journal=True,
+                         journal_dir=tmp_path, worker_faults=plan))
+    merged = sup.run(cells, jobs=3)
+    assert canon(merged) == canon(serial)
+    assert sup.stats["quarantined"] == 0
+    # a crash is answered surgically: one respawn per dead worker
+    assert sup.stats["respawns"] >= 1
 
-    # the persistent loop answers a crash surgically: one respawn per
-    # dead worker, never a world rebuild
-    assert sups["persistent"].stats["respawns"] >= 1
-    assert sups["persistent"].stats["rebuilds"] == 0
-    assert sups["pool"].stats["rebuilds"] >= 1
-    assert sups["pool"].stats["respawns"] == 0
-
-    # journals: same sweep id, same completed-fingerprint set
+    # journal: every cell's fingerprint is marked completed
     prints = [fingerprint(c.fn, c.kwargs) for c in cells]
     sid = sweep_id(prints)
-    done_sets = {}
-    for backend in ("persistent", "pool"):
-        journal = SweepJournal(sid, root=tmp_path / backend)
-        done_sets[backend] = journal.completed()
-    assert done_sets["persistent"] == done_sets["pool"] == set(prints)
+    assert SweepJournal(sid, root=tmp_path).completed() == set(prints)
 
-    # journal-scoped stores: identical result bytes per fingerprint
-    for fp in prints:
-        stored = [
-            CellCache(root=tmp_path / backend / f"{sid}.store").get(fp)
-            for backend in ("persistent", "pool")
-        ]
-        assert all(s is not None for s in stored)
-        a, b = (json.dumps(_sanitise(s), sort_keys=True) for s in stored)
-        assert a == b
+    # journal-scoped store: each fingerprint holds the serial bytes
+    store = CellCache(root=tmp_path / f"{sid}.store")
+    for cell, fp in zip(cells, prints):
+        stored = store.get(fp)
+        assert stored is not None
+        assert canon({cell.key: stored}) \
+            == canon({cell.key: serial[cell.key]})
 
 
 def test_hung_worker_is_killed_alone_and_retried():
@@ -186,16 +170,15 @@ def test_hung_worker_is_killed_alone_and_retried():
     plan = find_plan(6, max_retries=3, need={"hang"}, hang_rate=0.2)
     sup = Supervisor(cfg(max_retries=3, cell_timeout_s=0.4,
                          grace_factor=0.0, worker_faults=plan))
-    merged = sup.run(cells, jobs=2, backend="persistent")
+    merged = sup.run(cells, jobs=2)
     assert canon(merged) == reference
     assert sup.stats["timeouts"] >= 1
     assert sup.stats["respawns"] >= 1
-    assert sup.stats["rebuilds"] == 0
     assert sup.stats["quarantined"] == 0
 
 
 # ---------------------------------------------------------------------------
-# quarantine + resume on the persistent backend
+# quarantine + resume on the persistent executor
 # ---------------------------------------------------------------------------
 def test_resume_after_quarantine_on_persistent_backend(tmp_path):
     counter = tmp_path / "flaky.count"
@@ -206,7 +189,7 @@ def test_resume_after_quarantine_on_persistent_backend(tmp_path):
     jdir = tmp_path / "journal"
     first = Supervisor(cfg(max_retries=0, journal=True,
                            journal_dir=jdir))
-    merged1 = first.run(cells, jobs=2, backend="persistent")
+    merged1 = first.run(cells, jobs=2)
     failed = merged1[("flaky",)]
     assert "_failed" in failed
     assert "flaky attempt 0" in failed["_failed"]["error"]
@@ -216,7 +199,7 @@ def test_resume_after_quarantine_on_persistent_backend(tmp_path):
     # one re-executes (and succeeds this time)
     second = Supervisor(cfg(max_retries=0, journal=True, resume=True,
                             journal_dir=jdir))
-    merged2 = second.run(cells, jobs=2, backend="persistent")
+    merged2 = second.run(cells, jobs=2)
     assert second.stats["resumed"] == 7
     assert second.stats["completed"] == 1
     assert merged2[("flaky",)] == {"ok": True}
