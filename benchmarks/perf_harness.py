@@ -745,8 +745,7 @@ def bench_chaos(scale: float, seeds, jobs: int = 2,
     baseline_s = time.perf_counter() - t0
 
     supervisor = Supervisor(SupervisorConfig(
-        max_retries=max_retries, worker_faults=plan,
-        backoff_base_s=0.0, backoff_max_s=0.0, poll_interval_s=0.02))
+        max_retries=max_retries, worker_faults=plan))
     set_default_supervisor(supervisor)
     try:
         t0 = time.perf_counter()
@@ -944,8 +943,7 @@ def bench_chaos_events(scale: float, seeds, jobs: int = 2,
     baseline = multi_seed.replicate(base, seeds=seeds, jobs=1)
 
     supervisor = Supervisor(SupervisorConfig(
-        max_retries=max_retries, worker_faults=plan, journal=True,
-        backoff_base_s=0.0, backoff_max_s=0.0, poll_interval_s=0.02))
+        max_retries=max_retries, worker_faults=plan, journal=True))
     sweep = SweepObserver()
     set_default_supervisor(supervisor)
     set_default_sweep(sweep)

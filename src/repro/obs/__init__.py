@@ -63,7 +63,6 @@ from repro.obs.sweep import (
     ProgressTicker,
     SweepEventLog,
     SweepObserver,
-    capture_enabled,
     get_default_sweep,
     load_bench_reports,
     load_events,
@@ -99,7 +98,6 @@ __all__ = [
     "Span",
     "SweepEventLog",
     "SweepObserver",
-    "capture_enabled",
     "chrome_trace",
     "get_default",
     "get_default_sweep",

@@ -6,10 +6,11 @@ since the sweep layer (:mod:`repro.perf.pool` /
 worker's counters and spans never reached the parent.  This module
 closes the gap with four pieces:
 
-* **Capture + absorb.**  When capture is on (:func:`set_capture`, or
-  automatically via :func:`set_default_sweep`),
-  :func:`repro.perf.pool._execute` runs every cell against a fresh
-  default registry and attaches its
+* **Capture + absorb.**  When a sweep runs with a
+  :class:`SweepObserver` (passed to :func:`repro.perf.pool.run_cells`
+  or installed with :func:`set_default_sweep`), the sweep carries an
+  explicit capture flag and :func:`repro.perf.pool._execute` runs
+  every cell against a fresh default registry and attaches its
   :meth:`~repro.obs.registry.Registry.snapshot` (plus the flat
   :func:`~repro.obs.export.summary`) under the result's ``"_perf"``
   quarantine — the established nondeterminism channel, so obs-on and
@@ -44,7 +45,6 @@ closes the gap with four pieces:
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 import time
@@ -62,25 +62,6 @@ from typing import (
 
 from repro.obs.export import summary as registry_summary
 from repro.obs.registry import Registry, Span
-
-#: environment flag that turns on worker-side telemetry capture.  An
-#: env var rather than a module global because pool workers are child
-#: processes: they inherit the environment, not the parent's globals.
-CAPTURE_ENV = "REPRO_SWEEP_OBS"
-
-
-def capture_enabled() -> bool:
-    """Whether sweep telemetry capture is on in this process."""
-    return os.environ.get(CAPTURE_ENV, "") not in ("", "0")
-
-
-def set_capture(on: bool) -> None:
-    """Raise or clear the capture flag (inherited by new workers)."""
-    if on:
-        os.environ[CAPTURE_ENV] = "1"
-    else:
-        os.environ.pop(CAPTURE_ENV, None)
-
 
 # ---------------------------------------------------------------------------
 # summary folding
@@ -236,14 +217,9 @@ def get_default_sweep() -> Optional[SweepObserver]:
 
 
 def set_default_sweep(obs: Optional[SweepObserver]) -> None:
-    """Install (or with ``None`` remove) the default sweep observer.
-
-    Installing also raises the worker capture flag so pool workers
-    created afterwards ship their telemetry; removing clears it.
-    """
+    """Install (or with ``None`` remove) the default sweep observer."""
     global _default_sweep
     _default_sweep = obs
-    set_capture(obs is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +626,10 @@ def render_bench_report(reports: list[dict],
 
 __all__ = [
     "BENCH_REGRESSION_TOLERANCE",
-    "CAPTURE_ENV",
     "ProgressTicker",
     "SweepEventLog",
     "SweepObserver",
     "bench_trajectory",
-    "capture_enabled",
     "flag_regressions",
     "get_default_sweep",
     "load_bench_reports",
@@ -663,7 +637,6 @@ __all__ = [
     "merge_summaries",
     "render_bench_report",
     "render_event_table",
-    "set_capture",
     "set_default_sweep",
     "summary_of_snapshot",
     "sweep_speedup_trajectory",

@@ -13,12 +13,12 @@ from repro.perf.cache import (
 from repro.perf.journal import SweepJournal, fsync_dir, sweep_id
 from repro.perf.persistent import (
     PersistentExecutor,
+    SpecTable,
     StealScheduler,
     get_default_executor,
     shutdown_default_executor,
 )
 from repro.perf.pool import Cell, run_cells
-from repro.perf.spec import SpecTable, SpecView
 from repro.perf.supervisor import (
     FAILED_KEY,
     QuarantinedCells,
@@ -38,7 +38,6 @@ __all__ = [
     "PersistentExecutor",
     "QuarantinedCells",
     "SpecTable",
-    "SpecView",
     "StealScheduler",
     "Supervisor",
     "SupervisorConfig",

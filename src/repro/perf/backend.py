@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 class PersistentBackend:
     """Bare (unsupervised) sweep on the warm-worker executor."""
 
-    def run(self, cells: Sequence, jobs: int, capture: Optional[bool],
+    def run(self, cells: Sequence, jobs: int, capture: bool,
             prints: Optional[Sequence[str]] = None) -> list:
         """Execute ``cells``; return results in input order.
 

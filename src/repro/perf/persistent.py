@@ -13,11 +13,11 @@ bill.  :class:`PersistentExecutor` amortises all of it:
   (:func:`get_default_executor`) is shared by bare
   :func:`~repro.perf.pool.run_cells` sweeps and the supervisor and
   shut down atexit.
-* **Compact dispatch.**  A sweep begins by shipping one shared
-  read-only :class:`~repro.perf.spec.SpecTable`; after that each task
-  message is a ``(generation, index, attempt, fingerprint)``
-  descriptor and each worker rebuilds the cell zero-copy from the
-  table.
+* **Compact dispatch.**  A sweep begins by shipping one
+  :class:`SpecTable` — every cell pickled once — inline in the sweep
+  message; after that each task message is a ``(generation, index,
+  attempt, fingerprint)`` descriptor and each worker unpickles its
+  cell from the table.
 * **Sweep generations.**  Every sweep gets a generation number carried
   in task and result messages, so results of an abandoned sweep (the
   bare path fails fast on the first cell error) are recognised and
@@ -50,15 +50,17 @@ from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from repro.perf.spec import SpecTable
-
 _CTX = None
+
+#: pickle protocol of the spec table entries
+_PROTOCOL = 5
 
 
 def start_method() -> str:
@@ -126,6 +128,24 @@ class WorkerEvent:
     ok: bool = False
     payload: Any = None  #: result object, or the raised exception
     exitcode: Optional[int] = None
+
+
+class SpecTable:
+    """One sweep's cells, each pickled once as ``(key, fn, kwargs)``.
+
+    Built once per sweep from the declaration-ordered cell list; the
+    tuple of pickles rides in the sweep message and a worker rebuilds
+    cell ``i`` with ``pickle.loads(blobs[i])``.
+    """
+
+    def __init__(self, cells: Sequence) -> None:
+        self.blobs = tuple(
+            pickle.dumps((c.key, c.fn, c.kwargs), protocol=_PROTOCOL)
+            for c in cells)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(map(len, self.blobs))
 
 
 class _Worker:
@@ -229,7 +249,6 @@ class PersistentExecutor:
         self._next_wid = 0
         self._gen = 0
         self._sweep_msg: Optional[tuple] = None
-        self._table: Optional[SpecTable] = None
         self.stats: dict[str, int] = {k: 0 for k in self._STATS}
         self._counters = {
             k: obs.counter(f"persistent_{k}") for k in self._STATS
@@ -300,18 +319,17 @@ class PersistentExecutor:
         return idle[:n]
 
     # -- sweep protocol ----------------------------------------------------
-    def begin_sweep(self, cells, capture=None, plan=None,
+    def begin_sweep(self, cells, capture: bool = False, plan=None,
                     jobs: int = 1) -> tuple[int, list[int]]:
         """Ship a new sweep's spec table; returns ``(gen, worker_ids)``."""
-        if self._table is not None:
+        if self._sweep_msg is not None:
             self.end_sweep()
         self._gen += 1
         self._count("sweeps")
         table = SpecTable(cells)
-        self._table = table
         self._count("spec_bytes", table.nbytes)
-        self._sweep_msg = ("sweep", self._gen, table.transport(),
-                           capture, plan)
+        self._sweep_msg = ("sweep", self._gen, table.blobs, capture,
+                           plan)
         wids = self.acquire(max(1, jobs))
         for wid in wids:
             self._enroll(self._workers[wid])
@@ -426,10 +444,7 @@ class PersistentExecutor:
         return worker.wid
 
     def end_sweep(self) -> None:
-        """Release the sweep table and tell workers to drop their views."""
-        if self._table is not None:
-            self._table.close()
-            self._table = None
+        """Tell the current sweep's workers to drop its spec table."""
         if self._sweep_msg is not None:
             gen = self._sweep_msg[1]
             self._sweep_msg = None
@@ -501,6 +516,7 @@ atexit.register(shutdown_default_executor)
 
 __all__ = [
     "PersistentExecutor",
+    "SpecTable",
     "StealScheduler",
     "WorkerEvent",
     "get_default_executor",

@@ -31,7 +31,7 @@ picklable (module-level functions, frozen dataclasses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,14 @@ class Cell:
             )
 
 
-def _execute(cell: Cell, capture: Optional[bool] = None) -> Any:
+def _execute(cell: Cell, capture: bool) -> Any:
     """Run one cell with per-cell global state reset.
 
     Both the serial and parallel paths go through here, so a cell sees
     the same process-global state regardless of which worker (or how
     many cells before it) ran in the same interpreter.
 
-    ``capture`` turns on sweep telemetry capture (``None`` reads the
-    :data:`repro.obs.sweep.CAPTURE_ENV` flag, for workers reached
-    through code paths that do not thread the argument): the cell runs
+    ``capture`` turns on sweep telemetry capture: the cell runs
     against a fresh default registry and its snapshot + flat summary
     are attached under the result's ``"_perf"`` quarantine, so obs-on
     and obs-off results stay byte-identical outside it and cache
@@ -74,10 +72,6 @@ def _execute(cell: Cell, capture: Optional[bool] = None) -> Any:
     from repro.gang.job import Job
 
     Job._next_jid = 1
-    if capture is None:
-        from repro.obs.sweep import capture_enabled
-
-        capture = capture_enabled()
     if not capture:
         return cell.fn(**cell.kwargs)
 
@@ -162,9 +156,9 @@ def run_cells(
         from repro.obs.sweep import get_default_sweep
 
         sweep_obs = get_default_sweep()
-    # Explicit per-call capture flag: robust under spawn/forkserver
-    # workers, which inherit neither parent globals nor late env edits.
-    capture: Optional[bool] = True if sweep_obs is not None else None
+    # The capture flag travels with every sweep (worker processes
+    # never see the parent's observer), so it cannot go stale.
+    capture = sweep_obs is not None
 
     if supervisor is None:
         from repro.perf.supervisor import get_default_supervisor

@@ -10,8 +10,8 @@ PR 1:
 
 * **Deadlines.**  Every in-flight cell gets a wall-clock deadline
   derived from a running (exponential moving average) estimate of cell
-  cost, clamped to a configurable floor/cap — or a fixed
-  ``cell_timeout_s``.  A cell that overruns gets one grace extension
+  cost, clamped to :data:`TIMEOUT_FLOOR_S`/:data:`TIMEOUT_CAP_S` — or
+  a fixed ``cell_timeout_s``.  A cell that overruns gets one grace extension
   (mirroring the gang scheduler's straggler quantum extension), then is
   treated as hung: its worker alone is killed and the cell is
   rescheduled.
@@ -65,8 +65,7 @@ quarantine, …) correlated by cell key + attempt — mirrored to
 ``<sweep_id>.events.jsonl`` next to the journal when journaling is on
 — and a :class:`repro.obs.sweep.ProgressTicker` renders live
 done/running/quarantined + ETA (from the EMA cost estimate) to stderr
-during long sweeps (TTY only unless forced via
-``SupervisorConfig.progress``).
+during long sweeps (TTY only).
 
 Mirroring the cache and obs subsystems, a process-default supervisor
 installed with :func:`set_default_supervisor` is picked up by
@@ -83,12 +82,26 @@ from pathlib import Path
 from typing import Any, Hashable, Optional
 
 from repro.faults.worker import WorkerFaultPlan
-from repro.obs.sweep import ProgressTicker, SweepEventLog, capture_enabled
+from repro.obs.sweep import ProgressTicker, SweepEventLog
 from repro.perf.journal import DEFAULT_JOURNAL_DIR, SweepJournal, sweep_id
 from repro.perf.pool import Cell, _check_cells
 
 #: reserved key marking a quarantined cell in the merged record
 FAILED_KEY = "_failed"
+
+#: adaptive deadline = clamp(TIMEOUT_MULTIPLIER * estimate, floor, cap)
+TIMEOUT_FLOOR_S = 2.0
+TIMEOUT_CAP_S = 900.0
+TIMEOUT_MULTIPLIER = 8.0
+#: one grace extension of ``GRACE_FACTOR * budget`` before a cell is
+#: declared hung (the straggler gets a second chance first)
+GRACE_FACTOR = 0.5
+#: exponential retry backoff: base * factor**(attempt-1), capped
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+#: watchdog poll period (host wall clock)
+POLL_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -100,19 +113,6 @@ class SupervisorConfig:
     #: fixed per-cell deadline; ``None`` = adaptive from the running
     #: cost estimate (the cap alone until the first cell completes)
     cell_timeout_s: Optional[float] = None
-    #: adaptive deadline = clamp(multiplier * estimate, floor, cap)
-    timeout_floor_s: float = 2.0
-    timeout_cap_s: float = 900.0
-    timeout_multiplier: float = 8.0
-    #: one grace extension of ``grace_factor * budget`` before a cell
-    #: is declared hung (the straggler gets a second chance first)
-    grace_factor: float = 0.5
-    #: exponential retry backoff: base * factor**(attempt-1), capped
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    #: watchdog poll period (host wall clock)
-    poll_interval_s: float = 0.05
     #: record settled cells in the sweep journal
     journal: bool = False
     #: where journals (and journal-scoped result stores) live
@@ -121,29 +121,12 @@ class SupervisorConfig:
     resume: bool = False
     #: host fault injection (tests / hidden ``--chaos`` flag only)
     worker_faults: Optional[WorkerFaultPlan] = None
-    #: live progress/ETA ticker on stderr: ``None`` auto-detects (on
-    #: only when stderr is a TTY), ``True``/``False`` force it
-    progress: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
             raise ValueError("cell_timeout_s must be positive when set")
-        if self.timeout_floor_s <= 0 or self.timeout_cap_s <= 0:
-            raise ValueError("timeout floor/cap must be positive")
-        if self.timeout_floor_s > self.timeout_cap_s:
-            raise ValueError("timeout_floor_s must be <= timeout_cap_s")
-        if self.timeout_multiplier < 1.0:
-            raise ValueError("timeout_multiplier must be >= 1")
-        if self.grace_factor < 0.0:
-            raise ValueError("grace_factor must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
 
     @property
     def journaling(self) -> bool:
@@ -239,18 +222,16 @@ class _SweepBook:
                        charge: bool = True) -> None:
         """Record a failed attempt; requeue or quarantine."""
         sup = self.sup
-        cfg = sup.config
         if charge:
             st.attempts += 1
             st.errors.append(error)
             st.timings.append(time.monotonic() - st.submitted_at)
-        if not charge or st.attempts <= cfg.max_retries:
+        if not charge or st.attempts <= sup.config.max_retries:
             if charge:
                 sup._count("retries")
                 backoff = min(
-                    cfg.backoff_max_s,
-                    cfg.backoff_base_s
-                    * cfg.backoff_factor ** (st.attempts - 1),
+                    BACKOFF_MAX_S,
+                    BACKOFF_BASE_S * BACKOFF_FACTOR ** (st.attempts - 1),
                 )
                 st.ready_at = time.monotonic() + backoff
                 sup.events.log("retry", key=st.cell.key,
@@ -317,7 +298,7 @@ class Supervisor:
 
     # -- public API --------------------------------------------------------
     def run(self, cells, jobs: int = 1, cache=None,
-            capture: Optional[bool] = None) -> dict[Hashable, Any]:
+            capture: bool = False) -> dict[Hashable, Any]:
         """Run ``cells`` under supervision; returns ``{key: result}``.
 
         Same contract as :func:`repro.perf.pool.run_cells` — results
@@ -330,15 +311,12 @@ class Supervisor:
         hung-worker cancellation possible at all.
 
         ``capture`` is the worker telemetry-capture flag (see
-        :func:`repro.perf.pool._execute`); ``None`` reads the process
-        capture env flag.
+        :func:`repro.perf.pool._execute`).
         """
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         cells = list(cells)
         keys = _check_cells(cells)
-        if capture is None:
-            capture = capture_enabled()
 
         from repro.perf.cache import CellCache, fingerprint, \
             get_default_cache
@@ -411,7 +389,7 @@ class Supervisor:
 
     # -- persistent-executor loop ------------------------------------------
     def _run_persistent(self, book: _SweepBook, cells, jobs: int,
-                        capture=None) -> None:
+                        capture: bool) -> None:
         """Drive one sweep on the persistent warm-worker executor.
 
         A worker crash loses exactly the cell that worker held and is
@@ -426,11 +404,10 @@ class Supervisor:
         from repro.perf.persistent import (StealScheduler,
                                            get_default_executor)
 
-        cfg = self.config
         states = book.states
         executor = get_default_executor()
         gen, wids = executor.begin_sweep(
-            cells, capture=capture, plan=cfg.worker_faults,
+            cells, capture=capture, plan=self.config.worker_faults,
             jobs=min(jobs, len(states)))
         sched = StealScheduler(
             wids, cost=lambda i: self._cost_hint(cells[i]))
@@ -438,7 +415,6 @@ class Supervisor:
         idle = set(wids)
         done0 = len(book.results) - len(states)
         ticker = ProgressTicker(total=len(book.results), done=done0,
-                                enabled=cfg.progress,
                                 stream=self._progress_stream)
         book.ticker = ticker
         self.events.log("persistent_begin", workers=len(wids),
@@ -489,7 +465,7 @@ class Supervisor:
                     inflight[wid] = st
                     idle.discard(wid)
 
-                for ev in executor.poll(cfg.poll_interval_s):
+                for ev in executor.poll(POLL_INTERVAL_S):
                     if ev.kind == "result":
                         st = inflight.pop(ev.wid, None)
                         idle.add(ev.wid)
@@ -516,14 +492,14 @@ class Supervisor:
                 for wid, st in [(w, s) for w, s in inflight.items()
                                 if s.deadline is not None
                                 and now > s.deadline]:
-                    if not st.extended and cfg.grace_factor > 0.0:
+                    if not st.extended and GRACE_FACTOR > 0.0:
                         st.extended = True
-                        st.deadline = now + cfg.grace_factor * st.budget
+                        st.deadline = now + GRACE_FACTOR * st.budget
                         self._count("deadline_extensions")
                         self.events.log(
                             "grace_extension", key=st.cell.key,
                             attempt=st.attempts,
-                            extra_s=cfg.grace_factor * st.budget)
+                            extra_s=GRACE_FACTOR * st.budget)
                         continue
                     self._count("timeouts")
                     st.timeout_kills += 1
@@ -580,24 +556,23 @@ class Supervisor:
                   ) -> tuple[Optional[float], Optional[float]]:
         """(budget, absolute deadline) for the attempt just submitted.
 
-        Adaptive budgets clamp ``multiplier * estimate`` to
-        ``[floor, cap]``; before any cell has completed the cap itself
-        is the budget, so even a hang in the very first batch is
-        eventually cancelled.  A cell the watchdog already killed gets
+        Adaptive budgets clamp ``TIMEOUT_MULTIPLIER * estimate`` to
+        ``[TIMEOUT_FLOOR_S, TIMEOUT_CAP_S]``; before any cell has
+        completed the cap itself is the budget, so even a hang in the
+        very first batch is eventually cancelled.  A cell the watchdog already killed gets
         its budget doubled per kill (past the cap if need be): a
         merely-slow cell converges to a budget it fits in instead of
         being killed identically on every retry and quarantined as a
         false positive — a real hang still dies, just later.
         """
-        cfg = self.config
-        if cfg.cell_timeout_s is not None:
-            budget = cfg.cell_timeout_s
+        if self.config.cell_timeout_s is not None:
+            budget = self.config.cell_timeout_s
         elif self._estimate is None:
-            budget = cfg.timeout_cap_s
+            budget = TIMEOUT_CAP_S
         else:
-            budget = min(cfg.timeout_cap_s,
-                         max(cfg.timeout_floor_s,
-                             cfg.timeout_multiplier * self._estimate))
+            budget = min(TIMEOUT_CAP_S,
+                         max(TIMEOUT_FLOOR_S,
+                             TIMEOUT_MULTIPLIER * self._estimate))
         budget *= 2.0 ** st.timeout_kills
         return budget, st.submitted_at + budget
 

@@ -5,18 +5,17 @@ boot it pre-warms the hot import graph (numpy, the simulation stack,
 the cell executor) so that cost is paid once per worker instead of
 once per sweep, then loops over messages on its duplex pipe:
 
-* ``("sweep", gen, transport, capture, plan)`` — map the sweep's
-  :class:`~repro.perf.spec.SpecTable` (closing any previous view) and
-  remember the telemetry-capture flag and
+* ``("sweep", gen, blobs, capture, plan)`` — remember the sweep's
+  :class:`~repro.perf.persistent.SpecTable` pickles, the
+  telemetry-capture flag and the
   :class:`~repro.faults.worker.WorkerFaultPlan` for this generation;
-* ``("task", gen, index, attempt, fp)`` — rebuild cell ``index`` from
+* ``("task", gen, index, attempt, fp)`` — unpickle cell ``index`` from
   the table, apply any injected host fault, execute through the same
   :func:`repro.perf.pool._execute` global-state reset the serial path
   uses, and reply ``("result", wid, gen, index, attempt, fp, ok,
   payload)`` where ``payload`` is the result (``ok``) or the raised
   exception object (so the parent can re-raise the original type);
-* ``("end_sweep", gen)`` — drop the spec view (releases the shared
-  segment mapping);
+* ``("end_sweep", gen)`` — drop the spec table;
 * ``("stop",)`` — exit the loop and the process.
 
 Messages on one pipe are ordered, so a task can never observe a stale
@@ -35,6 +34,7 @@ executing.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 #: modules imported at worker boot so sweeps hit a warm interpreter;
@@ -75,14 +75,14 @@ def _apply_fault(plan, index: int, attempt: int) -> None:
         time.sleep(plan.slow_start_s)
 
 
-def _run_task(view, wid: int, index: int, attempt: int, capture,
-              plan) -> tuple[bool, object]:
+def _run_task(blobs, wid: int, index: int, attempt: int,
+              capture: bool, plan) -> tuple[bool, object]:
     """Execute one cell; returns ``(ok, payload)``."""
-    from repro.perf.pool import _execute
+    from repro.perf.pool import Cell, _execute
 
     try:
         _apply_fault(plan, index, attempt)
-        result = _execute(view.cell(index), capture)
+        result = _execute(Cell(*pickle.loads(blobs[index])), capture)
     except Exception as exc:
         return False, exc
     # Annotate which worker ran the cell — but only inside an existing
@@ -97,11 +97,9 @@ def _run_task(view, wid: int, index: int, attempt: int, capture,
 def worker_main(conn, wid: int) -> None:
     """Entry point of one persistent worker process."""
     prewarm()
-    from repro.perf.spec import SpecView
-
-    view = None
+    blobs = None
     gen = -1
-    capture = None
+    capture = False
     plan = None
     try:
         conn.send(("ready", wid, os.getpid()))
@@ -112,18 +110,15 @@ def worker_main(conn, wid: int) -> None:
                 break  # parent went away: nothing left to serve
             op = msg[0]
             if op == "sweep":
-                _, gen, transport, capture, plan = msg
-                if view is not None:
-                    view.close()
-                view = SpecView.from_transport(transport)
+                _, gen, blobs, capture, plan = msg
             elif op == "task":
                 _, tgen, index, attempt, fp = msg
-                if tgen != gen or view is None:
+                if tgen != gen or blobs is None:
                     ok, payload = False, RuntimeError(
                         f"worker {wid}: task for generation {tgen} but "
                         f"sweep table is at generation {gen}")
                 else:
-                    ok, payload = _run_task(view, wid, index, attempt,
+                    ok, payload = _run_task(blobs, wid, index, attempt,
                                             capture, plan)
                 try:
                     conn.send(("result", wid, tgen, index, attempt, fp,
@@ -136,16 +131,12 @@ def worker_main(conn, wid: int) -> None:
                                RuntimeError(
                                    f"result not picklable: {exc!r}")))
             elif op == "end_sweep":
-                if view is not None:
-                    view.close()
-                    view = None
+                blobs = None
             elif op == "stop":
                 break
     except KeyboardInterrupt:  # pragma: no cover - interactive abort
         pass
     finally:
-        if view is not None:
-            view.close()
         try:
             conn.close()
         except Exception:  # pragma: no cover - defensive

@@ -12,7 +12,6 @@ from repro.obs.sweep import (
     SweepEventLog,
     SweepObserver,
     bench_trajectory,
-    capture_enabled,
     flag_regressions,
     get_default_sweep,
     load_bench_reports,
@@ -20,7 +19,6 @@ from repro.obs.sweep import (
     merge_summaries,
     render_bench_report,
     render_event_table,
-    set_capture,
     set_default_sweep,
     summary_of_snapshot,
 )
@@ -187,28 +185,29 @@ def test_observer_disambiguates_repeat_keys():
     assert set(sweep.cell_summaries()) == {"cell", "cell#2"}
 
 
-def test_default_sweep_toggles_capture_flag():
+def test_default_sweep_toggles_capture_flag(monkeypatch):
+    from repro.perf import pool
+
+    seen = []
+    real = pool._execute
+
+    def spy(cell, capture):
+        seen.append(capture)
+        return real(cell, capture)
+
+    monkeypatch.setattr(pool, "_execute", spy)
+    cells = [pool.Cell("c", dict, {})]
     prev = get_default_sweep()
     try:
         sweep = SweepObserver()
         set_default_sweep(sweep)
         assert get_default_sweep() is sweep
-        assert capture_enabled()
+        pool.run_cells(cells)
         set_default_sweep(None)
-        assert not capture_enabled()
+        pool.run_cells(cells)
     finally:
         set_default_sweep(prev)
-
-
-def test_set_capture_env_flag():
-    before = capture_enabled()
-    try:
-        set_capture(True)
-        assert capture_enabled()
-        set_capture(False)
-        assert not capture_enabled()
-    finally:
-        set_capture(before)
+    assert seen == [True, False]
 
 
 # ---------------------------------------------------------------------------

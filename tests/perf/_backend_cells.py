@@ -41,12 +41,6 @@ def boom(msg):
     raise ValueError(msg)
 
 
-def arr_total(arr, scale):
-    """Consumes (without mutating) an ndarray kwarg: exercises the
-    zero-copy buffer path of the spec table."""
-    return {"total": float(arr.sum()) * scale, "shape": list(arr.shape)}
-
-
 def flaky_file(counter, fail_times):
     """Fail the first ``fail_times`` calls ever made (any process),
     tracked through the filesystem."""

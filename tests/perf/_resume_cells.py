@@ -32,12 +32,15 @@ def make_cells(n, delay_s, ping_dir=""):
 
 def run_sweep(journal_dir, jobs, delay_s, n, ping_dir=""):
     """One journaled, resumable supervised sweep (parent and child both
-    call this, so interrupted and resuming runs are configured alike)."""
-    from repro.perf import Supervisor, SupervisorConfig
+    call this, so interrupted and resuming runs are configured alike;
+    the child is a separate process, so the fast watchdog poll is set
+    here rather than by a test fixture)."""
+    from repro.perf import Supervisor, SupervisorConfig, supervisor
 
+    supervisor.POLL_INTERVAL_S = 0.02
     sup = Supervisor(SupervisorConfig(
         journal=True, resume=True, journal_dir=journal_dir,
-        cell_timeout_s=120.0, poll_interval_s=0.02,
+        cell_timeout_s=120.0,
     ))
     merged = sup.run(make_cells(n, delay_s, ping_dir), jobs=jobs)
     return merged, sup

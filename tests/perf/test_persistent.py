@@ -1,17 +1,16 @@
-"""The persistent warm-worker executor (repro.perf.persistent) and the
-zero-copy spec table (repro.perf.spec): packing/rebuild round-trips,
-transport selection, the work-stealing scheduler, warm worker reuse,
+"""The persistent warm-worker executor (repro.perf.persistent): the
+spec table round trip, the work-stealing scheduler, warm worker reuse,
 and sweep-generation hygiene."""
 
-import numpy as np
+import pickle
 
 from repro.perf import Cell, run_cells
 from repro.perf.persistent import (
+    SpecTable,
     StealScheduler,
     get_default_executor,
     start_method,
 )
-from repro.perf.spec import SPEC_SHM_ENV, SpecTable, SpecView
 
 from tests.perf import _backend_cells as bc
 
@@ -21,58 +20,20 @@ def make_grid(n=6):
 
 
 # ---------------------------------------------------------------------------
-# spec table round-trips
+# spec table round trip
 # ---------------------------------------------------------------------------
-def test_spec_roundtrip_inline(monkeypatch):
-    monkeypatch.setenv(SPEC_SHM_ENV, "0")
+def test_spec_roundtrip():
     cells = make_grid(5)
     table = SpecTable(cells)
-    transport = table.transport()
-    assert transport[0] == "inline"
-    view = SpecView.from_transport(transport)
-    assert len(view) == len(table) == 5
-    for i, cell in enumerate(cells):
-        rebuilt = view.cell(i)
-        assert rebuilt.key == cell.key
-        assert rebuilt.fn is bc.square  # same module-level function
-        assert rebuilt.kwargs == cell.kwargs
-    view.close()
-    table.close()
-
-
-def test_spec_roundtrip_ndarray_over_shm(monkeypatch):
-    monkeypatch.setenv(SPEC_SHM_ENV, "1")
-    arr = np.arange(512, dtype=np.float64).reshape(32, 16)
-    cells = [Cell(("arr", i), bc.arr_total,
-                  {"arr": arr, "scale": float(i)}) for i in range(3)]
-    table = SpecTable(cells)
-    transport = table.transport()
-    assert transport[0] == "shm"
-    view = SpecView.from_transport(transport)
-    try:
-        for i in range(3):
-            rebuilt = view.cell(i)
-            got = rebuilt.kwargs["arr"]
-            np.testing.assert_array_equal(got, arr)
-            # zero-copy rebuild: the array aliases the read-only table
-            assert not got.flags.writeable
-            assert rebuilt.kwargs["scale"] == float(i)
-            # release the aliases before closing, so the segment's
-            # mapping can actually be torn down below
-            del rebuilt, got
-    finally:
-        view.close()
-        table.close()
-
-
-def test_spec_transport_threshold(monkeypatch):
-    cells = make_grid(3)  # far below the 64 KiB shm threshold
-    monkeypatch.delenv(SPEC_SHM_ENV, raising=False)
-    assert SpecTable(cells).transport()[0] == "inline"
-    monkeypatch.setenv(SPEC_SHM_ENV, "1")
-    table = SpecTable(cells)
-    assert table.transport()[0] == "shm"
-    table.close()
+    assert len(table.blobs) == 5
+    assert table.nbytes == sum(
+        len(pickle.dumps((c.key, c.fn, c.kwargs), protocol=5))
+        for c in cells)
+    for blob, cell in zip(table.blobs, cells):
+        key, fn, kwargs = pickle.loads(blob)
+        assert key == cell.key
+        assert fn is bc.square  # same module-level function
+        assert kwargs == cell.kwargs
 
 
 # ---------------------------------------------------------------------------

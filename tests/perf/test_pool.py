@@ -40,7 +40,7 @@ def test_jid_counter_reset_per_cell_in_both_paths():
 
 def test_execute_resets_global_jid():
     Job._next_jid = 99
-    assert _execute(Cell("x", next_jid, {})) == 1
+    assert _execute(Cell("x", next_jid, {}), False) == 1
 
 
 def test_duplicate_keys_rejected():

@@ -31,7 +31,7 @@ from tests.perf import _backend_cells as bc
 
 
 @pytest.fixture(autouse=True)
-def _no_process_defaults():
+def _no_process_defaults(fast_supervisor):
     set_default_cache(None)
     set_default_supervisor(None)
     yield
@@ -51,13 +51,6 @@ def canon(merged):
 def delay_cells(delays):
     return [Cell(("cell", i), bc.sq_delay, {"x": i, "delay_s": d})
             for i, d in enumerate(delays)]
-
-
-def cfg(**kw):
-    base = dict(backoff_base_s=0.0, backoff_max_s=0.0,
-                poll_interval_s=0.02)
-    base.update(kw)
-    return SupervisorConfig(**base)
 
 
 def find_plan(n_cells, max_retries, need, max_faulted=2, **rates):
@@ -142,8 +135,9 @@ def test_crash_chaos_identity_across_backends(tmp_path):
     serial = run_cells(cells, jobs=1)
     plan = find_plan(8, max_retries=3, need={"crash"}, crash_rate=0.25)
 
-    sup = Supervisor(cfg(max_retries=3, journal=True,
-                         journal_dir=tmp_path, worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(max_retries=3, journal=True,
+                                      journal_dir=tmp_path,
+                                      worker_faults=plan))
     merged = sup.run(cells, jobs=3)
     assert canon(merged) == canon(serial)
     assert sup.stats["quarantined"] == 0
@@ -164,12 +158,14 @@ def test_crash_chaos_identity_across_backends(tmp_path):
             == canon({cell.key: serial[cell.key]})
 
 
-def test_hung_worker_is_killed_alone_and_retried():
+def test_hung_worker_is_killed_alone_and_retried(fast_supervisor,
+                                                 monkeypatch):
+    monkeypatch.setattr(fast_supervisor, "GRACE_FACTOR", 0.0)
     cells = delay_cells([0.01] * 6)
     reference = canon(run_cells(cells, jobs=1))
     plan = find_plan(6, max_retries=3, need={"hang"}, hang_rate=0.2)
-    sup = Supervisor(cfg(max_retries=3, cell_timeout_s=0.4,
-                         grace_factor=0.0, worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(max_retries=3, cell_timeout_s=0.4,
+                                      worker_faults=plan))
     merged = sup.run(cells, jobs=2)
     assert canon(merged) == reference
     assert sup.stats["timeouts"] >= 1
@@ -187,8 +183,8 @@ def test_resume_after_quarantine_on_persistent_backend(tmp_path):
                       {"counter": str(counter), "fail_times": 1}))
 
     jdir = tmp_path / "journal"
-    first = Supervisor(cfg(max_retries=0, journal=True,
-                           journal_dir=jdir))
+    first = Supervisor(SupervisorConfig(max_retries=0, journal=True,
+                                        journal_dir=jdir))
     merged1 = first.run(cells, jobs=2)
     failed = merged1[("flaky",)]
     assert "_failed" in failed
@@ -197,8 +193,8 @@ def test_resume_after_quarantine_on_persistent_backend(tmp_path):
 
     # resume: the 7 settled cells come from the store, the quarantined
     # one re-executes (and succeeds this time)
-    second = Supervisor(cfg(max_retries=0, journal=True, resume=True,
-                            journal_dir=jdir))
+    second = Supervisor(SupervisorConfig(max_retries=0, journal=True,
+                                         resume=True, journal_dir=jdir))
     merged2 = second.run(cells, jobs=2)
     assert second.stats["resumed"] == 7
     assert second.stats["completed"] == 1

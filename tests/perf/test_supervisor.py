@@ -34,7 +34,7 @@ from repro.obs import Registry
 
 
 @pytest.fixture(autouse=True)
-def _no_process_defaults():
+def _no_process_defaults(fast_supervisor):
     set_default_cache(None)
     set_default_supervisor(None)
     yield
@@ -77,14 +77,6 @@ def canon(merged):
     return json.dumps(_sanitise(strip), sort_keys=True)
 
 
-def cfg(**kw):
-    """Fast-polling, zero-backoff config so tests don't sleep."""
-    base = dict(backoff_base_s=0.0, backoff_max_s=0.0,
-                poll_interval_s=0.02)
-    base.update(kw)
-    return SupervisorConfig(**base)
-
-
 def find_plan(n_cells, max_retries, need, max_faulted=2, **rates):
     """Seed-search a fault plan whose attempt-0 schedule injects every
     kind in ``need`` while every cell keeps enough clean attempts that
@@ -110,18 +102,6 @@ def test_config_validation():
         SupervisorConfig(max_retries=-1)
     with pytest.raises(ValueError, match="cell_timeout_s"):
         SupervisorConfig(cell_timeout_s=0.0)
-    with pytest.raises(ValueError, match="floor/cap"):
-        SupervisorConfig(timeout_cap_s=-1.0)
-    with pytest.raises(ValueError, match="floor_s"):
-        SupervisorConfig(timeout_floor_s=10.0, timeout_cap_s=1.0)
-    with pytest.raises(ValueError, match="multiplier"):
-        SupervisorConfig(timeout_multiplier=0.5)
-    with pytest.raises(ValueError, match="grace_factor"):
-        SupervisorConfig(grace_factor=-0.1)
-    with pytest.raises(ValueError, match="backoff_factor"):
-        SupervisorConfig(backoff_factor=0.5)
-    with pytest.raises(ValueError, match="poll_interval"):
-        SupervisorConfig(poll_interval_s=0.0)
     assert SupervisorConfig(resume=True).journaling
     assert SupervisorConfig(journal=True).journaling
     assert not SupervisorConfig().journaling
@@ -133,7 +113,7 @@ def test_config_validation():
 def test_happy_path_identical_to_serial_run_cells():
     cells = make_squares()
     serial = run_cells(cells, jobs=1)
-    sup = Supervisor(cfg())
+    sup = Supervisor(SupervisorConfig())
     merged = sup.run(cells, jobs=2)
     assert canon(merged) == canon(serial)
     assert list(merged) == [c.key for c in cells]
@@ -147,13 +127,13 @@ def test_supervised_jobs_one_still_isolated():
     # jobs=1 supervises one persistent worker: isolation is what makes
     # crash containment possible, so even "serial" supervision uses a
     # worker
-    sup = Supervisor(cfg())
+    sup = Supervisor(SupervisorConfig())
     merged = sup.run(make_squares(3), jobs=1)
     assert [merged[("sq", i)]["sq"] for i in range(3)] == [0, 1, 4]
 
 
 def test_jobs_and_key_validation():
-    sup = Supervisor(cfg())
+    sup = Supervisor(SupervisorConfig())
     with pytest.raises(ValueError, match="jobs"):
         sup.run(make_squares(2), jobs=0)
     dup = [Cell("same", square, {"x": 1}), Cell("same", square, {"x": 2})]
@@ -164,19 +144,19 @@ def test_jobs_and_key_validation():
 
 def test_counters_reach_obs_registry():
     reg = Registry()
-    sup = Supervisor(cfg(), obs=reg)
+    sup = Supervisor(SupervisorConfig(), obs=reg)
     sup.run(make_squares(3), jobs=2)
     assert reg.value("supervisor_completed") == 3
     assert reg.value("supervisor_respawns") == 0
 
 
 def test_run_cells_uses_default_and_explicit_supervisor():
-    sup = Supervisor(cfg())
+    sup = Supervisor(SupervisorConfig())
     set_default_supervisor(sup)
     run_cells(make_squares(2))
     assert sup.stats["completed"] == 2
     set_default_supervisor(None)
-    explicit = Supervisor(cfg())
+    explicit = Supervisor(SupervisorConfig())
     run_cells(make_squares(2), supervisor=explicit)
     assert explicit.stats["completed"] == 2
     assert sup.stats["completed"] == 2  # untouched once uninstalled
@@ -189,7 +169,7 @@ def test_cell_exception_retried_then_succeeds(tmp_path):
     counter = tmp_path / "attempts"
     cells = [Cell("flaky", flaky,
                   {"counter": str(counter), "fail_times": 2})]
-    sup = Supervisor(cfg(max_retries=3))
+    sup = Supervisor(SupervisorConfig(max_retries=3))
     merged = sup.run(cells)
     assert merged["flaky"]["ok"] is True
     assert merged["flaky"]["ran"] == 3
@@ -202,7 +182,7 @@ def test_poison_cell_quarantined_with_full_forensics():
     cells = [Cell(("sq", 0), square, {"x": 3}),
              Cell("bad", boom, {}),
              Cell(("sq", 1), square, {"x": 4})]
-    sup = Supervisor(cfg(max_retries=2))
+    sup = Supervisor(SupervisorConfig(max_retries=2))
     merged = sup.run(cells, jobs=2)
     # the sweep survives: healthy cells complete, order is preserved
     assert list(merged) == [("sq", 0), "bad", ("sq", 1)]
@@ -222,7 +202,7 @@ def test_poison_cell_quarantined_with_full_forensics():
 
 
 def test_max_retries_zero_quarantines_on_first_failure():
-    sup = Supervisor(cfg(max_retries=0))
+    sup = Supervisor(SupervisorConfig(max_retries=0))
     merged = sup.run([Cell("bad", boom, {})])
     assert merged["bad"][FAILED_KEY]["attempts"] == 1
     assert sup.stats["retries"] == 0
@@ -235,7 +215,7 @@ def test_quarantined_helper_ignores_healthy_results():
 def test_require_ok_passes_healthy_and_names_poisoned_cells():
     healthy = {"a": {"x": 1}}
     assert require_ok(healthy) is healthy
-    sup = Supervisor(cfg(max_retries=0))
+    sup = Supervisor(SupervisorConfig(max_retries=0))
     merged = sup.run([Cell(("sq", 0), square, {"x": 2}),
                       Cell("bad", boom, {})])
     with pytest.raises(QuarantinedCells, match="demo sweep") as exc:
@@ -254,7 +234,7 @@ def test_injected_crash_mid_sweep_rebuilds_and_matches_serial():
     plan = find_plan(len(cells), max_retries=5, need={"crash"},
                      crash_rate=0.3)
     serial = run_cells(cells, jobs=1)
-    sup = Supervisor(cfg(max_retries=5, worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(max_retries=5, worker_faults=plan))
     merged = sup.run(cells, jobs=2)
     assert canon(merged) == canon(serial)
     assert sup.stats["respawns"] >= 1
@@ -265,7 +245,7 @@ def test_injected_crash_mid_sweep_rebuilds_and_matches_serial():
 
 def test_crash_on_every_attempt_quarantines_not_raises():
     plan = WorkerFaultPlan(crash_rate=1.0, seed=0)
-    sup = Supervisor(cfg(max_retries=1, worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(max_retries=1, worker_faults=plan))
     merged = sup.run([Cell("doomed", square, {"x": 1})])
     failure = merged["doomed"][FAILED_KEY]
     assert "worker crashed" in failure["error"]
@@ -282,8 +262,8 @@ def test_hung_worker_cancelled_and_rescheduled():
     plan = find_plan(len(cells), max_retries=5, need={"hang"},
                      hang_rate=0.4, hang_s=60.0)
     serial = run_cells(cells, jobs=1)
-    sup = Supervisor(cfg(max_retries=5, cell_timeout_s=0.25,
-                         worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(max_retries=5, cell_timeout_s=0.25,
+                                      worker_faults=plan))
     t0 = time.monotonic()
     merged = sup.run(cells, jobs=2)
     elapsed = time.monotonic() - t0
@@ -300,7 +280,7 @@ def test_hung_worker_cancelled_and_rescheduled():
 def test_slow_start_injection_is_survivable():
     cells = make_squares(4)
     plan = WorkerFaultPlan(slow_start_rate=1.0, slow_start_s=0.01)
-    sup = Supervisor(cfg(worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(worker_faults=plan))
     merged = sup.run(cells, jobs=2)
     assert canon(merged) == canon(run_cells(cells, jobs=1))
     assert sup.stats["retries"] == 0
@@ -310,20 +290,20 @@ def test_slow_start_injection_is_survivable():
 # deadline policy (unit level)
 # ---------------------------------------------------------------------------
 def test_deadline_adaptive_clamp_and_cap_fallback():
-    from repro.perf.supervisor import _CellState
+    from repro.perf.supervisor import (TIMEOUT_CAP_S, TIMEOUT_FLOOR_S,
+                                       TIMEOUT_MULTIPLIER, _CellState)
 
-    sup = Supervisor(SupervisorConfig(
-        timeout_floor_s=2.0, timeout_cap_s=100.0, timeout_multiplier=8.0))
+    sup = Supervisor(SupervisorConfig())
     st = _CellState(0, Cell("k", square, {"x": 1}), "fp")
     st.submitted_at = 1000.0
     # before any completion: the cap itself arms the watchdog
-    assert sup._deadline(st) == (100.0, 1100.0)
+    assert sup._deadline(st) == (TIMEOUT_CAP_S, 1000.0 + TIMEOUT_CAP_S)
     sup._observe(0.01)
-    assert sup._deadline(st)[0] == 2.0  # floor clamp
+    assert sup._deadline(st)[0] == TIMEOUT_FLOOR_S  # floor clamp
     sup._estimate = 5.0
-    assert sup._deadline(st)[0] == 40.0  # 8 * estimate
-    sup._estimate = 1000.0
-    assert sup._deadline(st)[0] == 100.0  # cap clamp
+    assert sup._deadline(st)[0] == TIMEOUT_MULTIPLIER * 5.0
+    sup._estimate = 10 * TIMEOUT_CAP_S
+    assert sup._deadline(st)[0] == TIMEOUT_CAP_S  # cap clamp
 
 
 def test_timeout_kill_escalates_budget_past_cap():
@@ -350,13 +330,13 @@ def test_cost_estimate_is_ema():
 # ---------------------------------------------------------------------------
 def test_journal_written_and_resume_skips_completed(tmp_path):
     cells = make_squares(5)
-    first = Supervisor(cfg(journal=True, journal_dir=tmp_path))
+    first = Supervisor(SupervisorConfig(journal=True, journal_dir=tmp_path))
     merged = first.run(cells, jobs=2)
     prints = [fingerprint(c.fn, c.kwargs) for c in cells]
     journal = SweepJournal(sweep_id(prints), root=tmp_path)
     assert journal.completed() == set(prints)
 
-    again = Supervisor(cfg(resume=True, journal_dir=tmp_path))
+    again = Supervisor(SupervisorConfig(resume=True, journal_dir=tmp_path))
     resumed = again.run(cells, jobs=2)
     assert again.stats["resumed"] == len(cells)
     assert again.stats["completed"] == 0
@@ -367,13 +347,13 @@ def test_journal_written_and_resume_skips_completed(tmp_path):
 
 def test_resume_reexecutes_failed_and_missing_cells(tmp_path):
     cells = [Cell(("sq", 0), square, {"x": 2}), Cell("bad", boom, {})]
-    first = Supervisor(cfg(journal=True, journal_dir=tmp_path,
-                           max_retries=0))
+    first = Supervisor(SupervisorConfig(journal=True, journal_dir=tmp_path,
+                                        max_retries=0))
     first.run(cells)
     # quarantined cells journal as "failed": a resume retries them (a
     # crashed host is exactly when the failure may not be the cell's)
-    again = Supervisor(cfg(resume=True, journal_dir=tmp_path,
-                           max_retries=0))
+    again = Supervisor(SupervisorConfig(resume=True, journal_dir=tmp_path,
+                                        max_retries=0))
     merged = again.run(cells)
     assert again.stats["resumed"] == 1
     assert again.stats["quarantined"] == 1
@@ -383,11 +363,11 @@ def test_resume_reexecutes_failed_and_missing_cells(tmp_path):
 def test_resume_with_vanished_store_reexecutes(tmp_path):
     cells = make_squares(3)
     prints = [fingerprint(c.fn, c.kwargs) for c in cells]
-    first = Supervisor(cfg(journal=True, journal_dir=tmp_path))
+    first = Supervisor(SupervisorConfig(journal=True, journal_dir=tmp_path))
     first.run(cells)
     store = CellCache(root=tmp_path / f"{sweep_id(prints)}.store")
     assert store.clear() == 3  # simulate a lost result store
-    again = Supervisor(cfg(resume=True, journal_dir=tmp_path))
+    again = Supervisor(SupervisorConfig(resume=True, journal_dir=tmp_path))
     merged = again.run(cells)
     # the journal is an index, the store is the source of truth
     assert again.stats["resumed"] == 0
@@ -398,12 +378,14 @@ def test_resume_with_vanished_store_reexecutes(tmp_path):
 def test_active_cache_is_the_resume_store(tmp_path):
     cells = make_squares(4)
     cache = CellCache(root=tmp_path / "cellcache")
-    first = Supervisor(cfg(journal=True, journal_dir=tmp_path / "j"))
+    first = Supervisor(SupervisorConfig(journal=True,
+                                        journal_dir=tmp_path / "j"))
     first.run(cells, jobs=2, cache=cache)
     assert cache.stores == 4
     # no <sweep>.store directory: the cache *is* the store (composition)
     assert not list((tmp_path / "j").glob("*.store"))
-    again = Supervisor(cfg(resume=True, journal_dir=tmp_path / "j"))
+    again = Supervisor(SupervisorConfig(resume=True,
+                                        journal_dir=tmp_path / "j"))
     again.run(cells, cache=cache)
     assert again.stats["resumed"] == 4
 
@@ -413,7 +395,8 @@ def test_cache_hits_are_journaled_for_later_resume(tmp_path):
     prints = [fingerprint(c.fn, c.kwargs) for c in cells]
     cache = CellCache(root=tmp_path / "cellcache")
     run_cells(cells, cache=cache)  # warm the cache, no journal yet
-    sup = Supervisor(cfg(journal=True, journal_dir=tmp_path / "j"))
+    sup = Supervisor(SupervisorConfig(journal=True,
+                                      journal_dir=tmp_path / "j"))
     sup.run(cells, cache=cache)
     journal = SweepJournal(sweep_id(prints), root=tmp_path / "j")
     entries = journal.load()
@@ -511,8 +494,8 @@ def test_chaos_sweep_identical_to_fault_free_serial():
     cells = make_squares(10)
     plan = find_chaos_plan(len(cells))
     serial = run_cells(cells, jobs=1)
-    sup = Supervisor(cfg(max_retries=3, cell_timeout_s=0.25,
-                         worker_faults=plan))
+    sup = Supervisor(SupervisorConfig(max_retries=3, cell_timeout_s=0.25,
+                                      worker_faults=plan))
     merged = sup.run(cells, jobs=1)
     assert canon(merged) == canon(serial)
     assert sup.stats["quarantined"] == 0

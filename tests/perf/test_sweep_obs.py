@@ -4,6 +4,9 @@ capture/absorb, supervisor event logging, and the CLI surfaces
 event-log rendering, cache hit rate)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,6 @@ from repro.obs.sweep import (
     SweepObserver,
     load_events,
     merge_summaries,
-    set_capture,
     set_default_sweep,
 )
 from repro.perf import (
@@ -25,19 +27,18 @@ from repro.perf import (
     set_default_cache,
     set_default_supervisor,
 )
+from repro.perf.persistent import shutdown_default_executor
 
 
 @pytest.fixture(autouse=True)
-def _no_process_defaults():
+def _no_process_defaults(fast_supervisor):
     set_default_cache(None)
     set_default_supervisor(None)
     set_default_sweep(None)
-    set_capture(False)
     yield
     set_default_cache(None)
     set_default_supervisor(None)
     set_default_sweep(None)
-    set_capture(False)
 
 
 # Cell functions must be module-level so workers can unpickle them.
@@ -100,14 +101,54 @@ def test_default_sweep_is_picked_up_by_run_cells():
     assert sweep.cell_count == 2
 
 
+def _stale_capture_probe(supervised):
+    """Child-process body of the stale-capture test: observe one
+    parallel sweep, uninstall the observer, then print what a later
+    unobserved parallel sweep ships."""
+    set_default_sweep(SweepObserver())
+    run_cells(_cells(), jobs=2)
+    set_default_sweep(None)
+    shutdown_default_executor()
+    serial = run_cells(_cells(), jobs=1)
+    if supervised:
+        set_default_supervisor(Supervisor(SupervisorConfig()))
+    merged = run_cells(_cells(), jobs=2)
+    print(json.dumps({
+        "obs": ["obs" in r.get("_perf", {}) for r in merged.values()],
+        "identical": _strip_perf(merged) == _strip_perf(serial),
+    }))
+
+
+@pytest.mark.parametrize("supervised", [False, True])
+def test_capture_does_not_outlive_the_observer(supervised):
+    # A fresh interpreter, so the worker processes (and the forkserver
+    # they fork from) first start while the observer is installed —
+    # as in a CLI run whose first sweep is observed.
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.perf.test_sweep_obs import _stale_capture_probe; "
+         f"_stale_capture_probe({supervised})"],
+        cwd=str(repo), env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout.strip().splitlines()[-1])
+    assert got == {"obs": [False] * 4, "identical": True}
+
+
 # ---------------------------------------------------------------------------
 # supervisor event log
 # ---------------------------------------------------------------------------
 
 def test_supervisor_logs_retries_and_mirrors_journal(tmp_path):
     sup = Supervisor(SupervisorConfig(
-        max_retries=3, backoff_base_s=0.0, backoff_max_s=0.0,
-        poll_interval_s=0.02, journal=True,
+        max_retries=3, journal=True,
         journal_dir=str(tmp_path / "journal")))
     cells = [Cell("ok", telemetric, {"x": 1}),
              Cell("fl", flaky, {"counter": str(tmp_path / "c"),
@@ -131,9 +172,7 @@ def test_supervisor_logs_retries_and_mirrors_journal(tmp_path):
 
 def test_supervisor_logs_quarantine(tmp_path):
     def run():
-        sup = Supervisor(SupervisorConfig(
-            max_retries=1, backoff_base_s=0.0, backoff_max_s=0.0,
-            poll_interval_s=0.02))
+        sup = Supervisor(SupervisorConfig(max_retries=1))
         cells = [Cell("bad", flaky, {"counter": str(tmp_path / "c"),
                                      "fail_times": 99})]
         sup.run(cells, jobs=1)
