@@ -19,20 +19,16 @@ the identity verdict and whether the measured overhead fits either
 budget.
 
 The run also writes ``BENCH_PR4.json`` (``--pr4-out``) covering the
-incremental page-state index and the cell result cache:
-
-* indexed vs scan-mode (``repro.mem.index.set_index_enabled``) wall
-  clock on the Figure-6 LRU cell, with a bit-for-bit identity verdict
-  and the speedup against the recorded PR 3 baseline,
-* a cold-vs-warm cell-cache round trip on the multi-seed sweep: the
-  warm rerun must skip at least half its cells (it skips all of them)
-  and merge to byte-identical output.
+cell result cache: a cold-vs-warm round trip on the multi-seed sweep.
+The warm rerun must skip at least half its cells (it skips all of them)
+and merge to byte-identical output.
 
 ``BENCH_PR5.json`` (``--pr5-out``) covers the steady-state execution
 fast path:
 
-* fast-path vs per-chunk (``repro.sim.set_fast_path_enabled``) wall
-  clock on the Figure-6 LRU cell.  The identity verdict deliberately
+* fast-path vs scalar-oracle (``repro.sim.set_fast_path_enabled``)
+  wall clock on the Figure-6 LRU cell; the oracle side also rescans
+  every page-table view instead of reading the epoch cache.  The identity verdict deliberately
   excludes ``events_processed`` — the fast path deletes bookkeeping
   events, so the count must *drop*, never match — while every
   simulation output (makespan, completions, page traffic, switch
@@ -426,59 +422,6 @@ def bench_obs_overhead(cfg: GangConfig, repeats: int = 3) -> dict:
     }
 
 
-def bench_index(cfg: GangConfig, repeats: int = 3) -> dict:
-    """Indexed vs scan-mode wall clock on one cell (identity checked).
-
-    Scan mode (:func:`repro.mem.index.set_index_enabled` off) recomputes
-    every page-state view per call — the pre-index behaviour — on the
-    same code, so the comparison isolates the epoch cache itself.  The
-    variants alternate within each repeat so drifting host load hits
-    both equally.
-    """
-    from repro.mem.index import set_index_enabled
-
-    idx_walls, scan_walls = [], []
-    idx_res = scan_res = None
-    try:
-        for _ in range(repeats):
-            set_index_enabled(True)
-            t0 = time.perf_counter()
-            idx_res = run_experiment(cfg)
-            idx_walls.append(time.perf_counter() - t0)
-
-            set_index_enabled(False)
-            t0 = time.perf_counter()
-            scan_res = run_experiment(cfg)
-            scan_walls.append(time.perf_counter() - t0)
-    finally:
-        set_index_enabled(True)
-
-    identical = (
-        idx_res.makespan == scan_res.makespan
-        and idx_res.events_processed == scan_res.events_processed
-        and idx_res.pages_read == scan_res.pages_read
-        and idx_res.pages_written == scan_res.pages_written
-        and idx_res.completions == scan_res.completions
-    )
-    idx_best, scan_best = min(idx_walls), min(scan_walls)
-    return {
-        "label": cfg.label(),
-        "scale": cfg.scale,
-        "repeats": repeats,
-        "indexed_wall_s_min": idx_best,
-        "scan_wall_s_min": scan_best,
-        "indexed_vs_scan_speedup": scan_best / idx_best,
-        "baseline_pr3_wall_s": BASELINE_PR3_SINGLE_CELL_WALL_S,
-        "speedup_vs_pr3_baseline": BASELINE_PR3_SINGLE_CELL_WALL_S
-        / idx_best,
-        "speedup_target": 1.3,
-        "meets_target": BASELINE_PR3_SINGLE_CELL_WALL_S / idx_best >= 1.3,
-        "simulation_identical": identical,
-        "events_processed": idx_res.events_processed,
-        "makespan_s": idx_res.makespan,
-    }
-
-
 def bench_cache(scale: float, seeds, jobs: int = 1) -> dict:
     """Cold vs warm cell-cache round trip on the multi-seed sweep.
 
@@ -534,9 +477,10 @@ def bench_fastpath(cfg: GangConfig, repeats: int = 3) -> dict:
     """Fast-path vs per-chunk wall clock on one cell (identity checked).
 
     Slow mode (:func:`repro.sim.set_fast_path_enabled` off) restores
-    the historical per-chunk execution on the same code, so the
-    comparison isolates resident-run batching, coalesced CPU timeouts,
-    and the dispatch shortcuts the fast path unlocks.  The variants
+    the historical per-chunk execution and rescans the page-table views
+    on the same code, so the comparison isolates resident-run batching,
+    coalesced CPU timeouts, the view cache, and the dispatch shortcuts
+    the fast path unlocks.  The variants
     alternate within each repeat so drifting host load hits both
     equally.  Identity deliberately excludes ``events_processed``: the
     fast path exists to delete bookkeeping events, so the count must
@@ -1219,27 +1163,15 @@ def main(argv=None) -> int:
 
     if wanted["pr4"]:
         if args.smoke:
-            index_bench = bench_index(SMOKE_CELL, repeats=1)
-            index_bench.pop("baseline_pr3_wall_s")
-            index_bench.pop("speedup_vs_pr3_baseline")
-            index_bench.pop("speedup_target")
-            index_bench.pop("meets_target")
             cache_bench = bench_cache(scale=0.05, seeds=(1, 2))
         else:
-            index_bench = bench_index(FIG6_LRU, repeats=args.repeats)
             cache_bench = bench_cache(scale=0.1, seeds=(1, 2, 3, 4))
         emit({
-            "bench": "PR4 page-state index + reclaim fast path "
-                     "+ cell cache",
+            "bench": "PR4 cell cache",
             "mode": mode,
             "host_cpu_count": os.cpu_count(),
-            "index": index_bench,
             "cell_cache": cache_bench,
         }, args.pr4_out)
-        if not index_bench["simulation_identical"]:
-            print("FAIL: indexed run diverged from scan-mode run",
-                  file=sys.stderr)
-            return 1
         if not cache_bench["cached_fresh_identical"]:
             print("FAIL: warm-cache sweep output diverged from cold",
                   file=sys.stderr)

@@ -55,7 +55,7 @@ class OldestDirtyQueue:
     def refill(self) -> None:
         """Rebuild the queue from a full scan of the dirty-resident set."""
         t = self.table
-        dirty = t.index.dirty_resident_pages()
+        dirty = t.dirty_resident_pages()
         keys = t.last_ref[dirty]
         order = np.argsort(keys, kind="stable")
         self._pages = dirty[order]
@@ -175,7 +175,7 @@ class BackgroundWriter:
         if self.active:
             if self._obs_on:
                 table = self.vmm.tables.get(self._pid)
-                if table is not None and table.index.dirty_resident_pages().size:
+                if table is not None and table.dirty_resident_pages().size:
                     self._c_misses.inc()
             self._proc.interrupt("stop_bgwrite")
         self._proc = None

@@ -67,9 +67,9 @@ class SelectivePageOut:
         chosen: np.ndarray | None = None
         table = tables.get(self.out_pid) if self.out_pid is not None else None
         if table is not None and table.resident_count > 0:
-            # epoch-cached candidate snapshot instead of copying and
-            # rescanning the full present mask on every reclaim round
-            res, ages = table.index.candidates()
+            # the candidate view (epoch-cached on the fast path)
+            # instead of copying the full present mask every round
+            res, ages = table.candidates()
             if protect and table.pid in protect:
                 pmask = np.zeros(table.num_pages, dtype=bool)
                 pmask[np.asarray(protect[table.pid], dtype=np.int64)] = True

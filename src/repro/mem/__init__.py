@@ -18,7 +18,6 @@ into (paper §2):
 """
 
 from repro.mem.frames import FramePool, OutOfFramesError
-from repro.mem.index import PageIndex, index_enabled, set_index_enabled
 from repro.mem.page_table import PageTable
 from repro.mem.params import MemoryParams
 from repro.mem.replacement import (
@@ -39,12 +38,9 @@ __all__ = [
     "MemoryParams",
     "OutOfFramesError",
     "PageAgingPolicy",
-    "PageIndex",
     "PageTable",
     "ReplacementPolicy",
     "VictimBatch",
     "VirtualMemoryManager",
     "WorkingSetEstimator",
-    "index_enabled",
-    "set_index_enabled",
 ]

@@ -15,17 +15,25 @@ this is exactly what the §3.4 background writer buys at switch time.
 Dirtying a page invalidates (but keeps) the slot; the next page-out
 rewrites it in place.
 
-Mutation epoch
---------------
+Views and the mutation epoch
+----------------------------
+Reclaim, the adaptive mechanisms and the working-set estimator read the
+same few views of a table: :meth:`resident_pages`,
+:meth:`dirty_resident_pages`, :meth:`candidates` (resident pages with
+their ``last_ref``), :meth:`touched_pages` and :meth:`touched_count`.
 Every mutator that changes ``present`` / ``dirty`` / ``swap_slot`` /
-``last_ref`` bumps :attr:`PageTable.epoch`; the per-table
-:class:`~repro.mem.index.PageIndex` (reachable as :attr:`PageTable.index`)
-uses the epoch to cache the resident / dirty / clean / candidate views
-between mutations instead of rescanning the arrays.  ``referenced`` and
-``clock_hand`` writes do **not** bump the epoch — no cached view reads
-them, and the clock policies clear reference bits on every sweep.
-State must therefore be mutated through the methods below (or followed
-by an explicit epoch bump), never by writing the arrays directly.
+``last_ref`` bumps :attr:`PageTable.epoch`.  On the fast path
+(:func:`repro.sim.set_fast_path_enabled`) each view is cached until the
+epoch moves and :attr:`resident_count` is an O(1) counter; under the
+scalar oracle every call rescans the arrays and the count is a
+``count_nonzero``.  Both return identical arrays (``np.flatnonzero`` is
+ascending, gathers are aligned), so the cache never changes a
+trajectory.  Cached arrays are shared: callers treat them as read-only.
+``referenced`` and ``clock_hand`` writes do **not** bump the epoch — no
+view reads them, and the clock policies clear reference bits on every
+sweep.  State must therefore be mutated through the methods below (or
+followed by an explicit epoch bump), never by writing the arrays
+directly.
 
 The epoch cannot serve the §3.4 background writer: every burst it
 writes ends in :meth:`mark_clean`, so its view of the dirty set would
@@ -49,8 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mem import index as _index_mode
-from repro.mem.index import PageIndex
+from repro.sim import fastpath as _fastpath
 
 
 class PageTable:
@@ -85,59 +92,71 @@ class PageTable:
         self.dirty_low_water = -np.inf
         # O(1) resident-set size, maintained by make_resident/evict
         self._resident_count = 0
-        #: epoch-cached views (resident / dirty / clean / candidates)
-        self.index = PageIndex(self)
+        # views cached at _views_epoch (fast path only)
+        self._views: dict = {}
+        self._views_epoch = -1
 
     # -- queries -----------------------------------------------------------
     @property
     def resident_count(self) -> int:
-        """Resident set size in pages (O(1) — maintained incrementally).
-
-        In scan mode (:func:`repro.mem.index.set_index_enabled` off) the
-        count is recomputed from the array, reproducing the pre-index
-        cost profile for the identity/benchmark comparison.
-        """
-        if _index_mode.INDEX_ENABLED:
+        """Resident set size in pages: O(1) on the fast path, a
+        ``count_nonzero`` scan under the scalar oracle."""
+        if _fastpath.ENABLED:
             return self._resident_count
         return int(np.count_nonzero(self.present))
 
+    def _view(self, name: str, scan):
+        """``scan()``, cached until the next epoch bump on the fast path
+        and recomputed on every call under the scalar oracle."""
+        if not _fastpath.ENABLED:
+            return scan()
+        if self._views_epoch != self.epoch:
+            self._views_epoch = self.epoch
+            self._views = {}
+        out = self._views.get(name)
+        if out is None:
+            out = self._views[name] = scan()
+        return out
+
     def resident_pages(self) -> np.ndarray:
         """Page numbers currently resident, ascending."""
-        return self.index.resident_pages()
+        return self._view("resident", lambda: np.flatnonzero(self.present))
+
+    def dirty_resident_pages(self) -> np.ndarray:
+        """Resident pages whose swap copy is missing or stale."""
+        return self._view("dirty", lambda: np.flatnonzero(
+            self.present & (self.dirty | (self.swap_slot < 0))))
+
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eviction candidates: ``(resident pages, their last_ref)``,
+        aligned — what LRU-style victim selection consumes."""
+        def scan():
+            res = self.resident_pages()
+            return res, self.last_ref[res]
+        return self._view("candidates", scan)
+
+    def touched_pages(self) -> np.ndarray:
+        """Pages the process has ever referenced."""
+        return self._view("touched",
+                          lambda: np.flatnonzero(self.last_ref > -np.inf))
+
+    def touched_count(self) -> int:
+        """Number of pages the process has ever referenced."""
+        return int(self.touched_pages().size)
 
     def swapped_pages(self) -> np.ndarray:
         """Pages that are out of memory but have a swap copy.
 
-        Not epoch-cached: the set changes with every page-in of the
+        Never cached: the set changes with every page-in of the
         faulting process, so a cache would never hit (the read-ahead
         planner restricts the scan to the relevant slot range instead).
         """
         return np.flatnonzero(~self.present & (self.swap_slot >= 0))
 
-    def touched_pages(self) -> np.ndarray:
-        """Pages the process has ever referenced."""
-        return self.index.touched_pages()
-
     def absent(self, pages: np.ndarray) -> np.ndarray:
         """Subset of ``pages`` (order preserved) that are not resident."""
         pages = np.asarray(pages, dtype=np.int64)
         return pages[~self.present[pages]]
-
-    def oldest_resident(self, n: int) -> np.ndarray:
-        """Up to ``n`` resident pages with the smallest ``last_ref``."""
-        res, ages = self.index.candidates()
-        if res.size <= n:
-            return res
-        idx = np.argpartition(ages, n - 1)[:n]
-        return res[np.sort(idx)]
-
-    def dirty_resident_pages(self) -> np.ndarray:
-        """Resident pages whose swap copy is missing or stale."""
-        return self.index.dirty_resident_pages()
-
-    def clean_resident_pages(self) -> np.ndarray:
-        """Resident pages discardable without I/O (valid swap copy)."""
-        return self.index.clean_resident_pages()
 
     # -- mutations ---------------------------------------------------------
     def record_access(self, pages: np.ndarray, now: float,
@@ -177,7 +196,7 @@ class PageTable:
         per-chunk calls would.  Callers (the steady-state fast path)
         have already verified residency via the vectorised probe, so the
         per-call ``present`` validation is skipped.  The single epoch
-        bump at the end preserves the PageIndex contract: cached views
+        bump at the end preserves the epoch contract: cached views
         are only consulted *between* mutations, and the batch is applied
         atomically from the simulation's point of view (no event can
         observe a half-applied run).
@@ -302,7 +321,7 @@ class PageTable:
 
     def clear_referenced(self, pages: np.ndarray | None = None) -> None:
         """Clear reference bits (a clock sweep step; no epoch bump —
-        ``referenced`` feeds no cached view)."""
+        ``referenced`` feeds no view)."""
         if pages is None:
             self.referenced[:] = False
         else:

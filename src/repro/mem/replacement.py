@@ -121,9 +121,8 @@ class GlobalLruPolicy(ReplacementPolicy):
         pages: list[np.ndarray] = []
         ages: list[np.ndarray] = []
         for pid, table in tables.items():
-            # the epoch-cached candidate snapshot replaces the full
-            # present-mask scan + last_ref gather of the pre-index code
-            res, age = table.index.candidates()
+            # the candidate view is epoch-cached on the fast path
+            res, age = table.candidates()
             res, age = self._drop_protected(table, protect, res, age)
             if res.size == 0:
                 continue

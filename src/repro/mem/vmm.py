@@ -21,6 +21,8 @@ be driven with ``yield from`` inside a simulation process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -63,6 +65,14 @@ class FaultStats:
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of all counters."""
         return dict(self.__dict__)
+
+
+def _segment_sums(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Set entries of ``mask`` per segment ``offsets[k]:offsets[k+1]``
+    (empty segments sum to 0, unlike ``np.add.reduceat``)."""
+    acc = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=acc[1:])
+    return acc[offsets[1:]] - acc[offsets[:-1]]
 
 
 class VirtualMemoryManager:
@@ -679,70 +689,61 @@ class VirtualMemoryManager:
         return total, t
 
     def _eager_evict_batches(self, batches, t: float):
-        """Apply one selector call's victim batches, bulk-committing
-        consecutive same-pid spans.
-
-        Per-page LRU eviction produces dozens of single-page batches
-        per episode; walking them through :meth:`_eager_evict_batch`
-        one at a time costs a full Python round-trip (revalidate,
-        allocate, disk service, hook, evict) per page.  A same-pid
-        span whose pages survive revalidation untouched and whose
-        write slots are per-batch contiguous commits as one vectorised
-        pass instead; anything else falls back to the per-batch
-        mirror.  Returns ``(progress, t)``.
-        """
+        """Apply one selector call's victim batches, one same-pid span
+        at a time through :meth:`_eager_evict_span`.  Returns
+        ``(progress, t)``."""
         progress = 0
-        i = 0
-        n = len(batches)
-        while i < n:
-            pid = batches[i].pid
-            j = i + 1
-            while j < n and batches[j].pid == pid:
-                j += 1
-            res = (self._eager_evict_span(pid, batches[i:j], t)
-                   if j - i > 1 else None)
-            if res is None:
-                for batch in batches[i:j]:
-                    p, t = self._eager_evict_batch(batch, t)
-                    progress += p
-            else:
-                p, t = res
-                progress += p
-            i = j
+        for pid, span in groupby(batches, key=attrgetter("pid")):
+            p, t = self._eager_evict_span(pid, list(span), t)
+            progress += p
         return progress, t
 
     def _eager_evict_span(self, pid: int, span, t: float):
-        """Bulk mirror of consecutive same-pid :meth:`_eager_evict_batch`
-        calls.  Returns ``(evicted, t)``, or ``None`` to fall back.
+        """Eager mirror of consecutive same-pid :meth:`evict_batch`
+        calls (flush mode, foreground), committed as one vectorised
+        pass.  Returns ``(evicted, t)``.
 
-        Preconditions, checked vectorised: batches pairwise disjoint,
-        every page still present and undemanded (so revalidation
-        filters nothing), and each batch's write slots one contiguous
-        run (so the chained head model of
-        :meth:`~repro.disk.device.Disk.eager_run_times` applies).  A
-        closed pass cannot stale a victim, but fragmented swap can
-        scatter slots — those spans take the per-batch path.
+        The eviction lock is free by the eager precondition and grants
+        synchronously, so each batch costs exactly the one lock-grant
+        wakeup absorbed here, whether or not it evicts anything.
+        Revalidation drops, per batch, the pages that are not resident,
+        the pages an in-flight demand holds (demands cannot change
+        inside a closed pass, so there is no post-write recheck) and the
+        pages an earlier batch of the span already took.  Each batch's
+        write goes out as one request at the running clock; contiguous
+        write sets use the chained head model of
+        :meth:`~repro.disk.device.Disk.eager_run_times`, fragmented swap
+        the general walk of :meth:`~repro.disk.device.Disk.eager_times_list`.
         """
+        nb = len(span)
+        self.env.events_absorbed += nb
         table = self.tables.get(pid)
         if table is None:
-            return None
+            return 0, t
         sizes = np.array([b.pages.size for b in span], dtype=np.int64)
-        pages = np.concatenate([b.pages for b in span])
-        srt = np.sort(pages)
-        if pages.size > 1 and not (srt[1:] > srt[:-1]).all():
-            return None
-        if not table.present[pages].all():
-            return None
-        if self._demand_counts[pid][pages].any():
-            return None
-        nb = sizes.size
         offsets = np.zeros(nb + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
+        pages = (np.concatenate([b.pages for b in span]) if nb > 1
+                 else span[0].pages)
+        keep = table.present[pages] & (self._demand_counts[pid][pages] == 0)
+        if nb > 1:
+            srt = np.sort(pages)
+            if not (srt[1:] > srt[:-1]).all():
+                # a repeated page stays only in the batch listing it first
+                _, first, inverse = np.unique(
+                    pages, return_index=True, return_inverse=True)
+                keep &= first[inverse] >= np.repeat(offsets[:-1], sizes)
+        if not keep.all():
+            pages = pages[keep]
+            sizes = _segment_sums(keep, offsets)
+            np.cumsum(sizes, out=offsets[1:])
+        if pages.size == 0:
+            return 0, t
         no_slot = table.swap_slot[pages] < 0
         if no_slot.any():
             # per-batch allocations in batch order: the allocator call
             # sequence (and therefore slot placement) matches the
-            # scalar mirror exactly
+            # scalar walk exactly
             offs = offsets.tolist()
             for k in range(nb):
                 seg = no_slot[offs[k]:offs[k + 1]]
@@ -750,9 +751,7 @@ class VirtualMemoryManager:
                     need = pages[offs[k]:offs[k + 1]][seg]
                     table.assign_slots(need, self.swap.allocate(need.size))
         needs_write = table.dirty[pages] | no_slot
-        w_sizes = np.add.reduceat(
-            needs_write.astype(np.int64), offsets[:-1]
-        ) if needs_write.any() else np.zeros(nb, dtype=np.int64)
+        w_sizes = _segment_sums(needs_write, offsets)
         wk = np.flatnonzero(w_sizes)
         if wk.size:
             to_write = pages[needs_write]
@@ -760,9 +759,9 @@ class VirtualMemoryManager:
             w_off = np.zeros(nb + 1, dtype=np.int64)
             np.cumsum(w_sizes, out=w_off[1:])
             # minimum/maximum.reduceat segments run from one write
-            # batch's start to the next; interleaved write-free batches
-            # contribute no slots, so each segment is exactly one
-            # batch's write set
+            # batch's start to the next; interleaved write-free (or
+            # emptied) batches contribute no slots, so each segment is
+            # exactly one batch's write set
             seg_starts = w_off[wk]
             sz = w_sizes[wk]
             mins = np.minimum.reduceat(w_slots, seg_starts)
@@ -805,67 +804,15 @@ class VirtualMemoryManager:
         self._c_discarded.inc(total - w_total)
         self._c_evictions.inc(total)
         if self.on_flush is not None:
-            for b in span:
-                self.on_flush(pid, b.pages)
+            offs = offsets.tolist()
+            for k in range(nb):
+                if offs[k] < offs[k + 1]:
+                    self.on_flush(pid, pages[offs[k]:offs[k + 1]])
         self._evicted_at[pid][pages] = np.repeat(stamps, sizes)
         self._ever_evicted.add(pid)
         table.evict(pages)
         self.frames.release(total)
-        self.env.events_absorbed += nb  # one lock-grant wakeup per batch
         return total, t
-
-    def _eager_evict_batch(self, batch: VictimBatch, t: float):
-        """Eager mirror of :meth:`evict_batch` (flush mode, foreground).
-
-        The eviction lock is free by the eager precondition and grants
-        synchronously, so acquiring it costs exactly the one wakeup
-        event we absorb.  Returns ``(evicted, t)``.
-        """
-        self.env.events_absorbed += 1  # the lock-grant wakeup
-        table = self.tables.get(batch.pid)
-        if table is None:
-            return 0, t
-        # revalidation is kept even though a closed pass cannot race:
-        # batches may legitimately overlap our own in-flight demand set
-        pages = batch.pages
-        present = table.present[pages]
-        if not present.all():
-            pages = pages[present]
-        counts = self._demand_counts[batch.pid]
-        if pages.size:
-            demanded = counts[pages]
-            if demanded.any():
-                pages = pages[demanded == 0]
-        if pages.size == 0:
-            return 0, t
-        no_slot_mask = table.swap_slot[pages] < 0
-        needs_write = table.dirty[pages] | no_slot_mask
-        to_write = pages[needs_write]
-        if to_write.size:
-            no_slot = pages[no_slot_mask]
-            if no_slot.size:
-                new_slots = self.swap.allocate(no_slot.size)
-                table.assign_slots(no_slot, new_slots)
-            slots = table.swap_slot[to_write]
-            req = self.disk.service_eager(slots, "write", t,
-                                          PRIO_FOREGROUND, pid=batch.pid)
-            t = req.completed_at
-            self.stats.pages_swapped_out += to_write.size
-            self._c_pages_out.inc(to_write.size)
-            table.mark_clean(to_write)
-            # no post-write demand recheck: demands cannot change
-            # inside a closed pass
-        self.stats.pages_discarded += pages.size - to_write.size
-        self.stats.evictions += pages.size
-        self._c_discarded.inc(pages.size - to_write.size)
-        self._c_evictions.inc(pages.size)
-        if self.on_flush is not None:
-            self.on_flush(batch.pid, pages)
-        self._evicted_at[batch.pid][pages] = t
-        self._ever_evicted.add(batch.pid)
-        table.evict(pages)
-        self.frames.release(pages.size)
-        return int(pages.size), t
 
     def swap_in_block(self, pid: int, groups):
         """Process fragment: service pre-planned block swap-ins.

@@ -43,13 +43,13 @@ class WorkingSetEstimator:
         start = self._quantum_start.pop(pid, None)
         if start is None:
             # Process was never marked scheduled; fall back to everything
-            # it has ever touched (epoch-cached view).
-            referenced = table.index.touched_count()
+            # it has ever touched.
+            referenced = table.touched_count()
         else:
             # Gather over the touched view instead of scanning the full
             # last_ref array: untouched pages sit at -inf < start, so the
             # counts agree exactly.
-            touched = table.index.touched_pages()
+            touched = table.touched_pages()
             referenced = int(
                 np.count_nonzero(table.last_ref[touched] >= start)
             )
@@ -73,7 +73,7 @@ class WorkingSetEstimator:
         if est is not None and est > 0:
             return int(round(est))
         if table is not None:
-            return table.index.touched_count()
+            return table.touched_count()
         return 0
 
     def forget(self, pid: int) -> None:

@@ -19,6 +19,10 @@ change any simulated outcome:
   ``Environment.events_absorbed``, so ``events_simulated`` stays
   comparable across modes.
 
+* the page table caches its resident / dirty-resident / candidate /
+  touched views per mutation epoch and keeps an O(1) resident count
+  (:mod:`repro.mem.page_table`).
+
 All of these are pure compute-saving transforms: with the fast path on,
 every simulation *output* (makespan, paging/fault counters, metrics
 records, mechanism counters) stays bit-for-bit identical, while
@@ -27,10 +31,10 @@ bookkeeping events exist.  ``set_fast_path_enabled(False)`` selects the
 scalar oracle, which restores the per-chunk/per-process event structure
 exactly, reproducing the historical event stream (the documented
 re-baseline for pinned event counts is keyed on this switch — see
-docs/architecture.md).
+docs/architecture.md), and rescans every page-table view on each call.
 
-Like :func:`repro.mem.index.set_index_enabled`, the switch is read at
-run time so identity tests can compare the modes; toggle it *between*
+This is the simulator's only execution switch.  It is read at run time
+so identity tests can compare the modes; toggle it *between*
 simulation runs, never while an environment is mid-run (a
 half-switched run would mix event structures).
 """

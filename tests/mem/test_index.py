@@ -1,27 +1,27 @@
-"""PageIndex: epoch invalidation, caching and view correctness.
+"""PageTable views: epoch invalidation, caching and scan agreement.
 
 Two layers of coverage:
 
 * a unit suite for the epoch contract — which mutators bump, which
-  deliberately do not, cache-hit identity of returned arrays, and the
-  scan-mode switch;
-* a randomized property test interleaving every mutator and asserting,
-  after each step, that every cached view equals the answer recomputed
-  from the raw arrays with ``np.flatnonzero``.
+  deliberately do not, cache-hit identity of returned arrays on the fast
+  path, and rescans under the scalar oracle
+  (``set_fast_path_enabled(False)``);
+* a randomized property test interleaving every mutator under both
+  settings and asserting, after each step, that every view equals the
+  answer recomputed from the raw arrays with ``np.flatnonzero``.
 """
 
 import numpy as np
 import pytest
 
-from repro.mem import index as index_mode
-from repro.mem.index import PageIndex, index_enabled, set_index_enabled
 from repro.mem.page_table import PageTable
+from repro.sim import fast_path_enabled, set_fast_path_enabled
 
 
 @pytest.fixture(autouse=True)
-def _restore_index_mode():
+def _restore_fast_path():
     yield
-    set_index_enabled(True)
+    set_fast_path_enabled(True)
 
 
 def fresh_views(t: PageTable) -> dict:
@@ -31,25 +31,19 @@ def fresh_views(t: PageTable) -> dict:
         "dirty_resident": np.flatnonzero(
             t.present & (t.dirty | (t.swap_slot < 0))
         ),
-        "clean_resident": np.flatnonzero(
-            t.present & ~t.dirty & (t.swap_slot >= 0)
-        ),
         "touched": np.flatnonzero(t.last_ref > -np.inf),
     }
 
 
 def assert_views_match(t: PageTable) -> None:
     ref = fresh_views(t)
-    np.testing.assert_array_equal(t.index.resident_pages(), ref["resident"])
+    np.testing.assert_array_equal(t.resident_pages(), ref["resident"])
     np.testing.assert_array_equal(
-        t.index.dirty_resident_pages(), ref["dirty_resident"]
+        t.dirty_resident_pages(), ref["dirty_resident"]
     )
-    np.testing.assert_array_equal(
-        t.index.clean_resident_pages(), ref["clean_resident"]
-    )
-    np.testing.assert_array_equal(t.index.touched_pages(), ref["touched"])
-    assert t.index.touched_count() == ref["touched"].size
-    res, ages = t.index.candidates()
+    np.testing.assert_array_equal(t.touched_pages(), ref["touched"])
+    assert t.touched_count() == ref["touched"].size
+    res, ages = t.candidates()
     np.testing.assert_array_equal(res, ref["resident"])
     np.testing.assert_array_equal(ages, t.last_ref[ref["resident"]])
     assert t.resident_count == ref["resident"].size
@@ -91,7 +85,7 @@ def test_empty_mutations_do_not_bump():
 
 
 def test_clear_referenced_does_not_bump():
-    """Reference bits feed no cached view; clock sweeps must stay free."""
+    """Reference bits feed no view; clock sweeps must stay free."""
     t = PageTable(pid=1, num_pages=16)
     t.make_resident(np.arange(8))
     before = t.epoch
@@ -102,53 +96,42 @@ def test_clear_referenced_does_not_bump():
 
 
 def test_cache_hit_returns_same_array():
-    """Between mutations the views are cached objects, not rescans."""
+    """On the fast path, between mutations the views are cached
+    objects, not rescans."""
     t = PageTable(pid=1, num_pages=64)
     t.make_resident(np.arange(10))
-    a = t.index.resident_pages()
-    b = t.index.resident_pages()
+    a = t.resident_pages()
+    b = t.resident_pages()
     assert a is b
-    res1, ages1 = t.index.candidates()
-    res2, ages2 = t.index.candidates()
+    res1, ages1 = t.candidates()
+    res2, ages2 = t.candidates()
     assert res1 is res2 and ages1 is ages2
     t.set_last_ref(np.arange(5), 7.0)  # bump
-    assert t.index.resident_pages() is not a
+    assert t.resident_pages() is not a
 
 
 def test_stale_cache_recomputed_after_mutation():
     t = PageTable(pid=1, num_pages=64)
     t.make_resident(np.arange(10))
-    np.testing.assert_array_equal(t.index.resident_pages(), np.arange(10))
+    np.testing.assert_array_equal(t.resident_pages(), np.arange(10))
     t.evict(np.arange(5))
-    np.testing.assert_array_equal(
-        t.index.resident_pages(), np.arange(5, 10)
-    )
+    np.testing.assert_array_equal(t.resident_pages(), np.arange(5, 10))
     assert_views_match(t)
-
-
-def test_invalidate_forces_recompute():
-    t = PageTable(pid=1, num_pages=16)
-    t.make_resident(np.arange(4))
-    a = t.index.resident_pages()
-    t.index.invalidate()
-    b = t.index.resident_pages()
-    assert a is not b
-    np.testing.assert_array_equal(a, b)
 
 
 def test_scan_mode_disables_caching():
+    """The scalar oracle rescans every view on every call."""
     t = PageTable(pid=1, num_pages=32)
     t.make_resident(np.arange(6))
-    set_index_enabled(False)
-    assert not index_enabled()
-    a = t.index.resident_pages()
-    b = t.index.resident_pages()
+    set_fast_path_enabled(False)
+    assert not fast_path_enabled()
+    a = t.resident_pages()
+    b = t.resident_pages()
     assert a is not b  # recomputed every call
     np.testing.assert_array_equal(a, b)
+    assert t.candidates()[0] is not t.candidates()[0]
     assert t.resident_count == 6  # count_nonzero fallback
     assert_views_match(t)
-    set_index_enabled(True)
-    assert index_enabled()
 
 
 def test_scan_and_indexed_views_agree():
@@ -156,18 +139,15 @@ def test_scan_and_indexed_views_agree():
     t.make_resident(np.arange(20))
     t.assign_slots(np.arange(10), np.arange(10) + 500)
     t.record_access(np.arange(5), 3.0, dirty=True)
-    indexed = {
-        "resident": t.index.resident_pages().copy(),
-        "dirty": t.index.dirty_resident_pages().copy(),
-        "clean": t.index.clean_resident_pages().copy(),
+    cached = {
+        "resident": t.resident_pages().copy(),
+        "dirty": t.dirty_resident_pages().copy(),
+        "touched": t.touched_pages().copy(),
     }
-    set_index_enabled(False)
-    np.testing.assert_array_equal(t.index.resident_pages(),
-                                  indexed["resident"])
-    np.testing.assert_array_equal(t.index.dirty_resident_pages(),
-                                  indexed["dirty"])
-    np.testing.assert_array_equal(t.index.clean_resident_pages(),
-                                  indexed["clean"])
+    set_fast_path_enabled(False)
+    np.testing.assert_array_equal(t.resident_pages(), cached["resident"])
+    np.testing.assert_array_equal(t.dirty_resident_pages(), cached["dirty"])
+    np.testing.assert_array_equal(t.touched_pages(), cached["touched"])
 
 
 def test_resident_count_tracks_invariants():
@@ -180,11 +160,6 @@ def test_resident_count_tracks_invariants():
     assert t.resident_count == 8
 
 
-def test_index_repr_smoke():
-    t = PageTable(pid=3, num_pages=8)
-    assert "pid=3" in repr(t.index)
-
-
 # ---------------------------------------------------------------------------
 # randomized interleave property test
 # ---------------------------------------------------------------------------
@@ -192,11 +167,12 @@ def test_index_repr_smoke():
 @pytest.mark.parametrize("scan_mode", [False, True])
 def test_random_mutator_interleave(seed, scan_mode):
     """Every view matches a fresh flatnonzero recompute after every
-    mutation, under a random interleaving of all mutators."""
+    mutation, under a random interleaving of all mutators, on the fast
+    path and under the scalar oracle."""
     rng = np.random.default_rng(seed)
     num_pages = 256
     t = PageTable(pid=1, num_pages=num_pages)
-    set_index_enabled(not scan_mode)
+    set_fast_path_enabled(not scan_mode)
     next_slot = 0
     now = 0.0
 
@@ -244,6 +220,6 @@ def test_random_mutator_interleave(seed, scan_mode):
             t.clear_referenced()
         # read views in random order so caches fill in varied states
         if rng.random() < 0.5:
-            t.index.candidates()
+            t.candidates()
         assert_views_match(t)
         t.check_invariants()

@@ -89,21 +89,6 @@ def test_evict_nonresident_rejected():
         t.evict(np.array([0]))
 
 
-def test_oldest_resident_orders_by_age():
-    t = make()
-    t.make_resident(np.arange(6))
-    for i, age in enumerate([5.0, 1.0, 3.0, 2.0, 6.0, 4.0]):
-        t.record_access(np.array([i]), now=age)
-    oldest = t.oldest_resident(3)
-    assert set(oldest) == {1, 3, 2}  # ages 1, 2, 3
-
-
-def test_oldest_resident_all_when_fewer():
-    t = make()
-    t.make_resident(np.array([7, 9]))
-    assert set(t.oldest_resident(10)) == {7, 9}
-
-
 def test_slot_assignment_and_release():
     t = make()
     t.assign_slots(np.array([3, 4]), np.array([50, 51]))
@@ -125,7 +110,6 @@ def test_dirty_and_clean_resident_sets():
     t.assign_slots(np.array([1]), np.array([10]))
     t.record_access(np.array([1]), now=2.0, dirty=True)
     # pages 2,3: no slot -> need write regardless of dirty
-    assert set(t.clean_resident_pages()) == {0}
     assert set(t.dirty_resident_pages()) == {1, 2, 3}
 
 
