@@ -16,12 +16,12 @@ bill.  :class:`PersistentExecutor` amortises all of it:
 * **Compact dispatch.**  A sweep begins by shipping one
   :class:`SpecTable` — every cell pickled once — inline in the sweep
   message; after that each task message is a ``(generation, index,
-  attempt, fingerprint)`` descriptor and each worker unpickles its
-  cell from the table.
+  attempt)`` descriptor and each worker unpickles its cell from the
+  table.
 * **Sweep generations.**  Every sweep gets a generation number carried
-  in task and result messages, so results of an abandoned sweep (the
-  bare path fails fast on the first cell error) are recognised and
-  dropped instead of corrupting the next sweep.
+  in task and result messages, so results of an abandoned sweep (one
+  interrupted mid-flight) are recognised and dropped instead of
+  corrupting the next sweep.
 * **Surgical failure handling.**  A dead worker is one ``died`` event
   naming the task it held; callers respawn *one* worker
   (:meth:`PersistentExecutor.respawn`) instead of rebuilding the
@@ -121,10 +121,7 @@ class WorkerEvent:
 
     kind: str  #: ``"result"`` or ``"died"``
     wid: int
-    gen: int = -1
     index: int = -1
-    attempt: int = -1
-    fp: str = ""
     ok: bool = False
     payload: Any = None  #: result object, or the raised exception
     exitcode: Optional[int] = None
@@ -159,7 +156,7 @@ class _Worker:
         self.conn = conn
         #: sweep generation this worker is enrolled in (-1 = none)
         self.gen = -1
-        #: in-flight (gen, index, attempt, fp), or None when idle
+        #: in-flight (gen, index), or None when idle
         self.task: Optional[tuple] = None
 
 
@@ -200,12 +197,6 @@ class StealScheduler:
             wid = min(self._load, key=lambda w: (self._load[w], w))
             self._deques[wid].append(index)
             self._load[wid] += self._item_cost(index)
-
-    def push_front(self, index: int) -> None:
-        """Queue a retry at the head of the least-loaded deque."""
-        wid = min(self._load, key=lambda w: (self._load[w], w))
-        self._deques[wid].appendleft(index)
-        self._load[wid] += self._item_cost(index)
 
     def next_for(self, wid: int) -> Optional[int]:
         """Next cell for ``wid``: own head, else steal a victim's tail."""
@@ -291,9 +282,6 @@ class PersistentExecutor:
             pass
         worker.proc.join(timeout=0)
 
-    def worker_ids(self) -> list[int]:
-        return sorted(self._workers)
-
     def worker_pids(self) -> dict[int, int]:
         """Live worker pids (stable across sweeps = warm reuse)."""
         return {w.wid: w.proc.pid for w in self._workers.values()}
@@ -339,8 +327,7 @@ class PersistentExecutor:
         worker.conn.send(self._sweep_msg)
         worker.gen = self._gen
 
-    def dispatch(self, wid: int, index: int, attempt: int,
-                 fp: str = "") -> None:
+    def dispatch(self, wid: int, index: int, attempt: int) -> None:
         """Send one task descriptor to an enrolled idle worker."""
         worker = self._workers[wid]
         if worker.gen != self._gen:
@@ -348,8 +335,8 @@ class PersistentExecutor:
                 f"worker {wid} is not enrolled in sweep {self._gen}")
         if worker.task is not None:
             raise RuntimeError(f"worker {wid} is already busy")
-        worker.task = (self._gen, index, attempt, fp)
-        worker.conn.send(("task", self._gen, index, attempt, fp))
+        worker.task = (self._gen, index)
+        worker.conn.send(("task", self._gen, index, attempt))
         self._count("dispatches")
 
     def poll(self, timeout: float = 0.05) -> list[WorkerEvent]:
@@ -386,19 +373,22 @@ class PersistentExecutor:
             # a worker may exit cleanly after sending its last result:
             # drain whatever is buffered before declaring it dead
             self._drain(worker, events)
+            # the pipe closes before the process has exited: wait for
+            # the exit code instead of reporting None
+            worker.proc.join(timeout=1.0)
             exitcode = worker.proc.exitcode
             task = worker.task
             gen = worker.gen
             self._reap(worker.wid)
             if task is not None and task[0] == self._gen:
-                events.append(WorkerEvent(
-                    "died", worker.wid, gen=task[0], index=task[1],
-                    attempt=task[2], fp=task[3], exitcode=exitcode))
+                events.append(WorkerEvent("died", worker.wid,
+                                          index=task[1],
+                                          exitcode=exitcode))
             elif gen == self._gen and self._sweep_msg is not None:
                 # an idle-but-enrolled worker died: report it so the
                 # caller stops offering it work (index -1 = no cell
                 # was lost)
-                events.append(WorkerEvent("died", worker.wid, gen=gen,
+                events.append(WorkerEvent("died", worker.wid,
                                           exitcode=exitcode))
         return events
 
@@ -406,19 +396,14 @@ class PersistentExecutor:
         """Pump buffered messages from one worker; False if it hung up."""
         try:
             while worker.conn.poll():
-                msg = worker.conn.recv()
-                if msg[0] == "ready":
-                    continue
-                if msg[0] == "result":
-                    _, wid, gen, index, attempt, fp, ok, payload = msg
-                    worker.task = None
-                    if gen == self._gen:
-                        events.append(WorkerEvent(
-                            "result", wid, gen=gen, index=index,
-                            attempt=attempt, fp=fp, ok=ok,
-                            payload=payload))
-                    else:
-                        self._count("stale_results")
+                _, gen, index, ok, payload = worker.conn.recv()
+                worker.task = None
+                if gen == self._gen:
+                    events.append(WorkerEvent("result", worker.wid,
+                                              index=index, ok=ok,
+                                              payload=payload))
+                else:
+                    self._count("stale_results")
         except (EOFError, OSError):
             return False
         return True

@@ -134,9 +134,9 @@ def run_cells(
     :func:`repro.perf.supervisor.set_default_supervisor`) is consulted.
     With a supervisor the sweep gains retries, per-cell deadlines,
     worker respawns, poison-cell quarantine and checkpoint/resume; the
-    merge contract is unchanged.  Without one, this bare path keeps
-    its historical fail-fast semantics: the first cell exception
-    propagates.
+    merge contract is unchanged.  Without one, a failing cell's
+    exception propagates: serially at once, in parallel once every cell
+    has settled (the earliest-declared failure wins).
 
     ``sweep_obs`` is an optional
     :class:`repro.obs.sweep.SweepObserver`; when omitted, the process
@@ -198,11 +198,8 @@ def run_cells(
         else:
             from repro.perf.backend import PersistentBackend
 
-            todo_prints = [prints[i] for i, _ in todo] if prints \
-                else None
-            fresh = PersistentBackend().run(
-                [c for _, c in todo], jobs, capture,
-                prints=todo_prints)
+            fresh = PersistentBackend().run([c for _, c in todo], jobs,
+                                            capture)
         for (i, cell), result in zip(todo, fresh):
             results[i] = result
             if cache is not None:

@@ -1,12 +1,13 @@
 """Supervised sweep execution: retries, deadlines, respawns, quarantine,
 checkpoint/resume.
 
-:func:`repro.perf.pool.run_cells` assumes a well-behaved host: a worker
-crash fails the whole sweep, a hung worker stalls the merge forever,
-and a killed run restarts from zero.  :class:`Supervisor` wraps the
-same cell model with production traffic semantics — the host-layer
-mirror of what :mod:`repro.faults` did for the *simulated* system in
-PR 1:
+A bare parallel :func:`repro.perf.pool.run_cells` sweep runs on this
+module's loop with no retries, no deadline, no journal and no
+telemetry, and re-raises the earliest-declared failure once every cell
+has settled (:class:`repro.perf.backend.PersistentBackend`).  With its
+policy switched on, :class:`Supervisor` gives the same cell model
+production traffic semantics — the host-layer mirror of what
+:mod:`repro.faults` did for the *simulated* system in PR 1:
 
 * **Deadlines.**  Every in-flight cell gets a wall-clock deadline
   derived from a running (exponential moving average) estimate of cell
@@ -137,7 +138,7 @@ class _CellState:
     """Supervision bookkeeping for one incomplete cell."""
 
     __slots__ = ("index", "cell", "fp", "attempts", "timeout_kills",
-                 "errors", "timings", "ready_at", "submitted_at",
+                 "errors", "excs", "timings", "ready_at", "submitted_at",
                  "budget", "deadline", "extended")
 
     def __init__(self, index: int, cell: Cell, fp: str) -> None:
@@ -148,8 +149,10 @@ class _CellState:
         self.attempts = 0
         #: attempts killed by the deadline watchdog (drives escalation)
         self.timeout_kills = 0
-        #: one message per failed attempt
+        #: one message per failed attempt, and its exception object
+        #: (``RuntimeError(message)`` when the supervisor failed it)
         self.errors: list[str] = []
+        self.excs: list[BaseException] = []
         #: wall seconds of every attempt (failed and successful)
         self.timings: list[float] = []
         #: earliest host time the next attempt may be submitted
@@ -171,15 +174,18 @@ class _SweepBook:
     journaling and the result-store contract.
     """
 
-    def __init__(self, sup: "Supervisor", cells, prints, results,
-                 todo, cache, store, journal, journaled) -> None:
+    def __init__(self, sup: "Supervisor", cells, results, todo,
+                 prints=None, cache=None, store=None, journal=None,
+                 journaled=None) -> None:
         self.sup = sup
         self.results = results
         self.cache = cache
         self.store = store
         self.journal = journal
         self.journaled = journaled
-        self.states = {i: _CellState(i, cells[i], prints[i])
+        # fingerprints exist only when a cache or journal needs them
+        self.states = {i: _CellState(i, cells[i],
+                                     prints[i] if prints else "")
                        for i in todo}
         #: cells awaiting (re)submission, possibly backing off
         self.waiting: list[int] = list(todo)
@@ -219,12 +225,14 @@ class _SweepBook:
             self.journaled.add(st.fp)
 
     def settle_failure(self, st: _CellState, error: str,
+                       exc: Optional[BaseException] = None,
                        charge: bool = True) -> None:
         """Record a failed attempt; requeue or quarantine."""
         sup = self.sup
         if charge:
             st.attempts += 1
             st.errors.append(error)
+            st.excs.append(exc if exc is not None else RuntimeError(error))
             st.timings.append(time.monotonic() - st.submitted_at)
         if not charge or st.attempts <= sup.config.max_retries:
             if charge:
@@ -323,7 +331,9 @@ class Supervisor:
 
         if cache is None:
             cache = get_default_cache()
-        prints = [fingerprint(c.fn, c.kwargs) for c in cells]
+        prints = None
+        if cache is not None or self.config.journaling:
+            prints = [fingerprint(c.fn, c.kwargs) for c in cells]
 
         results: list[Any] = [None] * len(cells)
         settled = [False] * len(cells)
@@ -378,7 +388,7 @@ class Supervisor:
                         todo=len(todo))
         try:
             if todo:
-                book = _SweepBook(self, cells, prints, results, todo,
+                book = _SweepBook(self, cells, results, todo, prints,
                                   cache, store, journal, journaled)
                 self._run_persistent(book, cells, jobs, capture)
         finally:
@@ -392,6 +402,9 @@ class Supervisor:
                         capture: bool) -> None:
         """Drive one sweep on the persistent warm-worker executor.
 
+        This is the only loop that dispatches to and polls the
+        executor; bare parallel sweeps run it too, with no retries and
+        no deadline (:class:`repro.perf.backend.PersistentBackend`).
         A worker crash loses exactly the cell that worker held and is
         answered by respawning *one* worker (``respawns`` stat,
         ``worker_respawn`` event) — the surviving workers never notice.
@@ -452,8 +465,7 @@ class Supervisor:
                     st.budget, st.deadline = self._deadline(st)
                     st.extended = False
                     try:
-                        executor.dispatch(wid, index, st.attempts,
-                                          st.fp)
+                        executor.dispatch(wid, index, st.attempts)
                     except (KeyError, RuntimeError, OSError):
                         # raced a worker death: requeue uncharged;
                         # the death itself surfaces via poll below
@@ -476,15 +488,16 @@ class Supervisor:
                         else:
                             exc = ev.payload
                             book.settle_failure(
-                                st, f"{type(exc).__name__}: {exc}")
+                                st, f"{type(exc).__name__}: {exc}", exc)
                     elif ev.kind == "died":
                         st = inflight.pop(ev.wid, None)
                         respawn("worker_crash", ev.wid, ev.exitcode)
                         if st is not None:
                             book.settle_failure(
                                 st,
-                                f"worker crashed "
-                                f"(exit {ev.exitcode})")
+                                f"worker crashed (exit {ev.exitcode}) "
+                                f"while running cell {st.index} "
+                                f"{st.cell.key!r}")
 
                 # deadline watchdog: grace once, then kill just the
                 # one hung worker

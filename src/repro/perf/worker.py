@@ -9,12 +9,13 @@ once per sweep, then loops over messages on its duplex pipe:
   :class:`~repro.perf.persistent.SpecTable` pickles, the
   telemetry-capture flag and the
   :class:`~repro.faults.worker.WorkerFaultPlan` for this generation;
-* ``("task", gen, index, attempt, fp)`` — unpickle cell ``index`` from
-  the table, apply any injected host fault, execute through the same
-  :func:`repro.perf.pool._execute` global-state reset the serial path
-  uses, and reply ``("result", wid, gen, index, attempt, fp, ok,
-  payload)`` where ``payload`` is the result (``ok``) or the raised
-  exception object (so the parent can re-raise the original type);
+* ``("task", gen, index, attempt)`` — unpickle cell ``index`` from the
+  table, apply any injected host fault (drawn by ``(index, attempt)``),
+  execute through the same :func:`repro.perf.pool._execute`
+  global-state reset the serial path uses, and reply ``("result", gen,
+  index, ok, payload)`` where ``payload`` is the result (``ok``) or the
+  raised exception object (so the parent can re-raise the original
+  type);
 * ``("end_sweep", gen)`` — drop the spec table;
 * ``("stop",)`` — exit the loop and the process.
 
@@ -102,7 +103,6 @@ def worker_main(conn, wid: int) -> None:
     capture = False
     plan = None
     try:
-        conn.send(("ready", wid, os.getpid()))
         while True:
             try:
                 msg = conn.recv()
@@ -112,7 +112,7 @@ def worker_main(conn, wid: int) -> None:
             if op == "sweep":
                 _, gen, blobs, capture, plan = msg
             elif op == "task":
-                _, tgen, index, attempt, fp = msg
+                _, tgen, index, attempt = msg
                 if tgen != gen or blobs is None:
                     ok, payload = False, RuntimeError(
                         f"worker {wid}: task for generation {tgen} but "
@@ -121,13 +121,11 @@ def worker_main(conn, wid: int) -> None:
                     ok, payload = _run_task(blobs, wid, index, attempt,
                                             capture, plan)
                 try:
-                    conn.send(("result", wid, tgen, index, attempt, fp,
-                               ok, payload))
+                    conn.send(("result", tgen, index, ok, payload))
                 except Exception as exc:
                     # unpicklable result/exception: degrade to a
                     # failure the parent can still consume
-                    conn.send(("result", wid, tgen, index, attempt, fp,
-                               False,
+                    conn.send(("result", tgen, index, False,
                                RuntimeError(
                                    f"result not picklable: {exc!r}")))
             elif op == "end_sweep":

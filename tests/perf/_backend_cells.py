@@ -41,6 +41,16 @@ def boom(msg):
     raise ValueError(msg)
 
 
+def exit_code(code):
+    """Kill the executing worker process outright, without cleanup."""
+    os._exit(code)
+
+
+def count_members(members):
+    """Takes a ``frozenset``: picklable, but not fingerprintable."""
+    return {"n": len(members)}
+
+
 def flaky_file(counter, fail_times):
     """Fail the first ``fail_times`` calls ever made (any process),
     tracked through the filesystem."""

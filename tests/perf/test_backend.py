@@ -1,6 +1,6 @@
 """The sweep executor path (repro.perf.backend): jobs parsing, the
-in-process ``jobs=1`` path, and the persistent executor's identity and
-fail-fast contracts."""
+in-process ``jobs=1`` path, and the bare parallel path's identity and
+failure contracts on the supervisor's loop."""
 
 import json
 import os
@@ -69,3 +69,24 @@ def test_persistent_failure_is_fail_fast_and_deterministic():
     # the pipe
     with pytest.raises(ValueError, match="first bad cell"):
         run_cells(cells, jobs=3)
+
+
+def test_bare_worker_death_names_cell_and_exit_code():
+    cells = make_grid(6)
+    cells[2] = Cell(("exit", 2), bc.exit_code, {"code": 3})
+    with pytest.raises(RuntimeError,
+                       match=r"exit 3\) while running cell 2\b"):
+        run_cells(cells, jobs=2)
+    # the executor that lost a worker still serves the next bare sweep
+    cells = make_grid(6)
+    assert canon(run_cells(cells, jobs=2)) == canon(run_cells(cells,
+                                                              jobs=1))
+
+
+def test_bare_sweep_needs_no_fingerprint():
+    # without a cache nothing fingerprints the kwargs, so a frozenset
+    # (picklable but not fingerprintable) is fine
+    cells = [Cell(("n", i), bc.count_members,
+                  {"members": frozenset(range(i))}) for i in range(4)]
+    merged = run_cells(cells, jobs=2)
+    assert [r["n"] for r in merged.values()] == [0, 1, 2, 3]

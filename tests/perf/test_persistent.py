@@ -83,13 +83,6 @@ def test_replace_worker_hands_over_queue():
     assert sorted(drained) == list(range(4))  # own queue + steals
 
 
-def test_push_front_priority():
-    sched = StealScheduler([0])
-    sched.extend([1, 2])
-    sched.push_front(9)
-    assert sched.next_for(0) == 9
-
-
 # ---------------------------------------------------------------------------
 # warm executor
 # ---------------------------------------------------------------------------
