@@ -49,6 +49,14 @@ class AggressivePageOut:
             )
             self._c_batches.inc()
             self._c_pages.inc(freed)
+            if freed == 0:
+                # every victim is demanded by the outgoing process's own
+                # fault in flight: re-picking now would select the same
+                # pages at the same instant, so wait for that fault
+                settled = vmm.demand_settled(out_pid)
+                if settled is None:
+                    return
+                yield settled
 
     def target_for(self, incoming_ws_pages: int) -> int:
         """Free-frame target for a given incoming working-set size."""

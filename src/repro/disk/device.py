@@ -182,11 +182,11 @@ class DiskRequest(Event):
 class _EagerRequest:
     """Completed-transfer record for batch-advance.
 
-    The eager service path (:meth:`Disk.service_eager`,
-    :meth:`Disk.commit_eager_run`) never enqueues or dispatches, so it
-    does not need an :class:`~repro.sim.engine.Event`; this carries just
-    the fields completion hooks and the VMM read back.  ``slots`` must
-    already be sorted ascending (plan groups and eviction batches are).
+    The eager service path (:meth:`Disk.commit_eager_run`) never
+    enqueues or dispatches, so it does not need an
+    :class:`~repro.sim.engine.Event`; this carries just the fields
+    completion hooks read back.  ``slots`` must already be sorted
+    ascending.
     """
 
     __slots__ = (
@@ -667,6 +667,11 @@ class Disk:
         fires with the exact (start, end) window the dispatcher would
         have used.  Absorbs the service timeout and completion trigger
         (two events).
+
+        No simulator code calls this (batch-advance commits every eager
+        transfer through :meth:`commit_eager_run`); it stays because
+        the per-layer host time table (perfbench/layers.py) resolves it
+        by name.
         """
         slots = np.sort(np.asarray(slots, dtype=np.int64))
         req = _EagerRequest(slots, op, priority, pid, t)

@@ -128,22 +128,6 @@ def plan_swapins(
     # sorted by page and the per-group argsort is skipped.
     page_asc = sw_pages.size < 2 or bool((np.diff(sw_pages) > 0).all())
 
-    # When the swap-backed demand slots ascend (touch order follows
-    # slot order — the dominant case for sequential sweeps), the chosen
-    # windows [lo, hi) appear with strictly increasing bounds, so the
-    # union of earlier windows is exactly [0, last_hi): the coverage
-    # test collapses to one integer compare and no window can partially
-    # overlap earlier coverage — the bytearray bookkeeping disappears,
-    # and the whole plan is built by array ops (one jump per *group*
-    # instead of one loop iteration per demanded page).
-    swap_slots_seq = demand_slots[have_swap]
-    monotone = swap_slots_seq.size < 2 or bool(
-        (swap_slots_seq[1:] > swap_slots_seq[:-1]).all()
-    )
-    if monotone:
-        return _plan_monotone(demand, have_swap, sw_pages, sw_slots,
-                              los, his, page_asc)
-
     # Planned-state bookkeeping lives in *slot-index* space: every
     # swap-backed demand page appears exactly once in the sorted slot
     # map (slots are unique), at position ``los[i]`` (its own slot is
@@ -196,80 +180,6 @@ def plan_swapins(
                                      contig, first))
 
     flush_zero()
-    return groups
-
-
-def _plan_monotone(
-    demand: np.ndarray,
-    have_swap: np.ndarray,
-    sw_pages: np.ndarray,
-    sw_slots: np.ndarray,
-    los: np.ndarray,
-    his: np.ndarray,
-    page_asc: bool,
-) -> list[FaultGroup]:
-    """Array-built plan for the monotone branch of :func:`plan_swapins`.
-
-    Describes exactly the group sequence of the scalar loop it
-    replaces: the swap-backed demand pages that *open* a window are
-    found by jumping ``lo``-past-previous-``hi`` (monotonicity makes
-    ``los`` non-decreasing, so one ``searchsorted`` per emitted group
-    lands on the next opener), and zero-fill pages are bucketed —
-    sorted within each bucket, as the scalar accumulator did — in
-    front of the first later window.
-    """
-    idx_sb = np.flatnonzero(have_swap)
-    zf_raw = demand[~have_swap]
-    if idx_sb.size == 0:
-        if zf_raw.size:
-            return [FaultGroup(np.sort(zf_raw), None)]
-        return []
-    los_sb = los[idx_sb]
-    his_sb = his[idx_sb]
-    chosen = np.zeros(idx_sb.size, dtype=bool)
-    n = idx_sb.size
-    i = 0
-    while i < n:
-        chosen[i] = True
-        # the next opener is the first later page whose window does
-        # not overlap this one (own-slot membership guarantees lo < hi,
-        # so the jump always advances)
-        i = int(np.searchsorted(los_sb, his_sb[i], side="left"))
-    los_c = los_sb[chosen]
-    his_c = his_sb[chosen]
-    nchosen = los_c.size
-    # per-group head-model certificates, exact because the map is
-    # slot-sorted: span == size-1 means one consecutive run
-    firsts = sw_slots[los_c]
-    contig = ((sw_slots[his_c - 1] - firsts) == (his_c - los_c - 1)).tolist()
-    firsts = firsts.tolist()
-    if zf_raw.size:
-        # bucket k = zero-fill pages flushed just before chosen group k
-        # (touch-order position before that group's); bucket nchosen is
-        # the trailing flush.  ``bucket`` is non-decreasing (both index
-        # sequences ascend), so a bucket-major stable lexsort equals
-        # per-bucket np.sort.
-        bucket = np.searchsorted(idx_sb[chosen], np.flatnonzero(~have_swap),
-                                 side="left")
-        zb = np.searchsorted(bucket, np.arange(nchosen + 2),
-                             side="left").tolist()
-        zf_pages = zf_raw[np.lexsort((zf_raw, bucket))]
-    else:
-        zb = [0] * (nchosen + 2)
-    groups: list[FaultGroup] = []
-    for k, (lo, hi) in enumerate(zip(los_c.tolist(), his_c.tolist())):
-        if zb[k] != zb[k + 1]:
-            groups.append(FaultGroup(zf_pages[zb[k]:zb[k + 1]], None))
-        cand_pages = sw_pages[lo:hi]
-        cand_slots = sw_slots[lo:hi]
-        if not page_asc:
-            idx = np.argsort(cand_pages)
-            cand_pages = cand_pages[idx]
-            cand_slots = cand_slots[idx]
-        groups.append(FaultGroup(cand_pages, cand_slots,
-                                 contig[k], firsts[k]))
-    if zb[nchosen] != zb[nchosen + 1]:
-        groups.append(FaultGroup(zf_pages[zb[nchosen]:], None))
     return groups
 
 

@@ -45,7 +45,7 @@ from repro.mem.replacement import (
 )
 from repro.obs.registry import NULL_OBS
 from repro.sim import fastpath as _fastpath
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 
 
@@ -126,6 +126,9 @@ class VirtualMemoryManager:
         # was still in flight (identity set: _remove_demand must not
         # raise when the generator finally unwinds)
         self._purged_demands: set[int] = set()
+        # per-pid event fired when that pid's next in-flight demand
+        # ends (see demand_settled)
+        self._demand_waiters: dict[int, Event] = {}
         # pids that have ever had a page evicted — before the first
         # eviction the refault gather can be skipped entirely
         self._ever_evicted: set[int] = set()
@@ -205,6 +208,7 @@ class VirtualMemoryManager:
                 e for e in self._active_demands if e[0] != pid
             ]
             self._purged_demands.update(id(e) for e in stale)
+            self._settle_waiter(pid)
         self.frames.release(table.resident_count)
         slots = table.swap_slot[table.swap_slot >= 0]
         if slots.size:
@@ -431,7 +435,9 @@ class VirtualMemoryManager:
         Replays, op for op, what the scalar loop in :meth:`touch` would
         have committed — same service times, statistics, telemetry and
         hook timestamps — without dispatching any events; the events it
-        stands in for are tallied on ``env.events_absorbed``.  Stops at
+        stands in for are tallied on ``env.events_absorbed``.  Runs of
+        read groups are committed whole by :meth:`_eager_read_run`;
+        zero-fill groups and reclaim steps go one at a time.  Stops at
         the first group whose service cannot provably finish strictly
         before the published deadline (the caller's scalar loop resumes
         there after one resync timeout).
@@ -444,7 +450,6 @@ class VirtualMemoryManager:
         env = self.env
         params = self.params
         frames = self.frames
-        disk = self.disk
         dl = self.deadlines
         deadline = dl.bg_arm_at if dl.bg_arm_at < dl.run_cap_at \
             else dl.run_cap_at
@@ -457,19 +462,9 @@ class VirtualMemoryManager:
         while done < n:
             group = groups[done]
             gpages = group.pages
-            gslots = group.slots
             # the scalar loop's per-group presence recheck is skipped:
             # plan groups are pairwise disjoint and nothing else can
             # make pages resident inside a closed eager pass
-            if gslots is not None:
-                advanced = self._eager_read_run(
-                    table, pid, groups, done, t, deadline
-                )
-                if advanced is not None:
-                    ngroups, t, npages = advanced
-                    done += ngroups
-                    filled += npages
-                    continue
             if frames.free < gpages.size or frames.below_min(gpages.size):
                 try:
                     ok, t = self._eager_ensure(gpages.size, t, deadline)
@@ -477,33 +472,25 @@ class VirtualMemoryManager:
                     return done, t, filled, exc
                 if not ok:
                     break
-            if gslots is None:
-                delay = gpages.size * params.minor_fault_s
-                t2 = t + delay
-                if delay > 0 and not t2 < deadline:
+            if group.slots is not None:
+                ngroups, t, npages = self._eager_read_run(
+                    table, pid, groups, done, t, deadline
+                )
+                if not ngroups:
                     break
-                frames.allocate(gpages.size)
-                self.stats.minor_faults += gpages.size
-                self._c_minor.inc(gpages.size)
-                if delay > 0:
-                    t = t2
-                    env.events_absorbed += 1
-            else:
-                cpu = gpages.size * params.major_fault_cpu_s
-                duration, _ = disk.service_time_for(gslots, "read")
-                t_after = (t + duration) + cpu
-                if not t_after < deadline:
-                    break
-                frames.allocate(gpages.size)
-                req = disk.service_eager(gslots, "read", t,
-                                         PRIO_FOREGROUND, pid=pid)
-                self.stats.major_faults += 1
-                self.stats.pages_swapped_in += gpages.size
-                self._c_major.inc()
-                self._c_pages_in.inc(gpages.size)
-                filled += gpages.size
-                self._count_refaults(pid, gpages, now=req.completed_at)
-                t = req.completed_at + cpu
+                done += ngroups
+                filled += npages
+                continue
+            delay = gpages.size * params.minor_fault_s
+            t2 = t + delay
+            if delay > 0 and not t2 < deadline:
+                break
+            frames.allocate(gpages.size)
+            self.stats.minor_faults += gpages.size
+            self._c_minor.inc(gpages.size)
+            if delay > 0:
+                t = t2
+                env.events_absorbed += 1
             table.make_resident(gpages)
             table.set_last_ref(gpages, t)
             done += 1
@@ -511,50 +498,55 @@ class VirtualMemoryManager:
 
     def _eager_read_run(self, table, pid: int, groups, start: int,
                         t: float, deadline: float):
-        """Vectorized commit of a run of contiguous read groups.
+        """Vectorized commit of a run of read groups.
 
-        Detects the maximal run of single-run (contiguous-slot) swap-in
-        groups from ``groups[start:]`` whose frames are available
-        without reclaim and whose waiter-visible completions all land
-        strictly before ``deadline``, then applies the whole run with
-        array operations: one accumulate for the exact event times, one
-        frame allocation, bulk page-state flips, a vectorized refault
-        gather and a bulk disk commit.  Returns
-        ``(ngroups, t_end, npages)`` or ``None`` when fewer than two
-        groups qualify (the per-group path is cheaper then).
+        Takes the read groups from ``groups[start:]`` up to the first
+        zero-fill group or the first group whose frames would breach
+        ``freepages.min`` (the caller has already made room for the
+        first one), so the scan visits at most one group it does not
+        commit.  All-contiguous runs are priced by the chained head
+        model of :meth:`~repro.disk.device.Disk.eager_run_times`,
+        others by the general walk of
+        :meth:`~repro.disk.device.Disk.eager_times_list`.  The prefix
+        whose waiter-visible completions all land strictly before
+        ``deadline`` is applied with array operations: one accumulate
+        for the exact event times, one frame allocation, bulk
+        page-state flips, a vectorized refault gather and a bulk disk
+        commit.  Returns ``(ngroups, t_end, npages)``; ``ngroups`` is 0
+        when the first group cannot finish before ``deadline``.
         """
         params = self.params
-        frames = self.frames
-        firsts = []
-        sizes = []
-        k = start
+        g = groups[start]
+        run = [g]
+        sizes = [g.pages.size]
+        room = self.frames.free - params.freepages_min - sizes[0]
+        contig = g.contig
+        k = start + 1
         n = len(groups)
         while k < n:
             g = groups[k]
-            # planner-certified set contiguity: group slots are in page
-            # order, where a span test alone is unsound (a permutation
-            # like [2, 1, 6, 5] passes it while covering two disk runs)
-            if not g.contig:
+            size = g.pages.size
+            if g.slots is None or size > room:
                 break
-            firsts.append(g.slot0)
-            sizes.append(g.pages.size)
+            run.append(g)
+            sizes.append(size)
+            room -= size
+            contig = contig and g.contig
             k += 1
-        if k - start < 2:
-            return None
-        sizes = np.asarray(sizes, dtype=np.int64)
-        firsts = np.asarray(firsts, dtype=np.int64)
-        # per-group watermark precondition, prefix-truncated: group j
-        # may allocate without reclaim iff the pool stays at or above
-        # freepages.min after it (the scalar loop's inline guard)
-        csum = np.cumsum(sizes)
-        room = (frames.free - csum) >= params.freepages_min
-        if not room.all():
-            m = int(np.argmin(room))
-            if m < 2:
-                return None
-            sizes = sizes[:m]
-            firsts = firsts[:m]
-        durations, seeks = self.disk.eager_run_times(firsts, sizes, "read")
+        sizes = np.array(sizes, dtype=np.int64)
+        # planner-certified set contiguity: group slots are in page
+        # order, where a span test alone is unsound (a permutation like
+        # [2, 1, 6, 5] passes it while covering two disk runs)
+        if contig:
+            firsts = np.array([g.slot0 for g in run], dtype=np.int64)
+            durations, seeks = self.disk.eager_run_times(
+                firsts, sizes, "read")
+        else:
+            # the device services the sorted slot set (scalar requests
+            # sort on submission)
+            slots_list = [np.sort(g.slots) for g in run]
+            durations, seeks = self.disk.eager_times_list(
+                slots_list, "read")
         # exact event times by strict left-fold: acc interleaves each
         # group's service completion T_c and its fused CPU charge, so
         # T_c = acc[1::2] and the waiter resumes at acc[2::2] — the
@@ -564,31 +556,22 @@ class VirtualMemoryManager:
         inter[0::2] = durations
         inter[1::2] = cpus
         acc = np.add.accumulate(np.concatenate(([t], inter)))
-        t_c = acc[1::2]
         waiters = acc[2::2]
         inside = waiters < deadline
-        if not inside.all():
-            m = int(np.argmin(inside))
-            if m < 2:
-                return None
-            sizes = sizes[:m]
-            firsts = firsts[:m]
-            durations = durations[:m]
-            seeks = seeks[:m]
-            t_c = t_c[:m]
-            waiters = waiters[:m]
-        m = sizes.size
-        starts = acc[0:2 * m:2]
-        # the device stores and services the sorted slot set (scalar
-        # requests sort on submission); a contiguous set's sorted form
-        # is its arange, regardless of the group's page-order shuffle
-        slots_list = [np.arange(f, f + s) for f, s in
-                      zip(firsts[:m].tolist(), sizes.tolist())]
-        all_pages = np.concatenate(
-            [groups[start + i].pages for i in range(m)]
-        )
+        m = sizes.size if inside.all() else int(np.argmin(inside))
+        if m == 0:
+            return 0, t, 0
+        sizes = sizes[:m]
+        t_c = acc[1:2 * m:2]
+        waiters = waiters[:m]
+        if contig:
+            # a contiguous set's sorted form is its arange, regardless
+            # of the group's page-order shuffle
+            slots_list = [np.arange(f, f + s) for f, s in
+                          zip(firsts[:m].tolist(), sizes.tolist())]
+        all_pages = np.concatenate([g.pages for g in run[:m]])
         total = int(sizes.sum())
-        frames.allocate(total)
+        self.frames.allocate(total)
         self.stats.major_faults += m
         self.stats.pages_swapped_in += total
         self._c_major.inc(m)
@@ -601,8 +584,8 @@ class VirtualMemoryManager:
             if nref:
                 self._c_refaults.inc(nref)
         self.disk.commit_eager_run(
-            slots_list, sizes, durations, seeks,
-            starts, t_c, "read", PRIO_FOREGROUND, pid=pid,
+            slots_list[:m], sizes, durations[:m], seeks[:m],
+            acc[0:2 * m:2], t_c, "read", PRIO_FOREGROUND, pid=pid,
         )
         table.make_resident(all_pages)
         table.set_last_ref_values(all_pages, np.repeat(waiters, sizes))
@@ -882,6 +865,8 @@ class VirtualMemoryManager:
                 counts = self._demand_counts.get(pid)
                 if counts is not None:
                     counts[pages] -= 1
+                if self._demand_waiters:
+                    self._settle_waiter(pid)
                 return
         if id(entry) in self._purged_demands:
             # the owning process was unregistered mid-service; the entry
@@ -889,6 +874,21 @@ class VirtualMemoryManager:
             self._purged_demands.discard(id(entry))
             return
         raise ValueError("demand entry not registered")
+
+    def demand_settled(self, pid: int) -> Optional[Event]:
+        """Event that fires when an in-flight demand of ``pid`` ends, or
+        ``None`` when ``pid`` has none in flight."""
+        if not any(p == pid for p, _ in self._active_demands):
+            return None
+        ev = self._demand_waiters.get(pid)
+        if ev is None:
+            ev = self._demand_waiters[pid] = self.env.event()
+        return ev
+
+    def _settle_waiter(self, pid: int) -> None:
+        ev = self._demand_waiters.pop(pid, None)
+        if ev is not None:
+            ev.succeed()
 
     def _active_protect(
         self, extra: Optional[Mapping[int, np.ndarray]] = None

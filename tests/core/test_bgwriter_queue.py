@@ -23,7 +23,7 @@ from repro.core.background import OldestDirtyQueue
 from repro.disk import Disk, DiskParams
 from repro.disk.device import PRIO_BACKGROUND
 from repro.experiments import GangConfig, run_experiment
-from repro.faults import FaultRates, WatchdogTimeout
+from repro.faults import FaultRates
 from repro.faults.errors import DiskFailure
 from repro.mem import MemoryParams, PageTable, VirtualMemoryManager
 from repro.mem.frames import OutOfFramesError
@@ -103,11 +103,6 @@ def build(params) -> GangConfig:
         seed=params["seed"],
         faults=FaultRates(disk_error_rate=params["disk_error_rate"],
                           record_loss_rate=params["record_loss_rate"]),
-        # Bounds the run: with short quanta, aggressive page-out can spin
-        # at one virtual instant when the outgoing process's first
-        # resident pages are all demanded by its own fault in flight (see
-        # ROADMAP).  Every burst before the watchdog fires is checked.
-        max_events=100_000,
     )
 
 
@@ -115,7 +110,7 @@ def run_checked(cfg):
     with checked_writer() as counts:
         try:
             run_experiment(cfg)
-        except (DiskFailure, OutOfFramesError, WatchdogTimeout):
+        except (DiskFailure, OutOfFramesError):
             # Heavy disk errors can end a run early: a foreground write
             # fails for good, or reclaim finds nothing evictable.  The
             # bursts written until then were all checked.

@@ -10,6 +10,7 @@ from repro.core import (
     SelectivePageOut,
 )
 from repro.disk import Disk, DiskParams
+from repro.experiments import GangConfig, run_experiment
 from repro.mem import GlobalLruPolicy, MemoryParams, VirtualMemoryManager
 from repro.sim import Environment
 
@@ -165,6 +166,41 @@ def test_aggressive_noop_if_enough_free():
     ao = AggressivePageOut(vmm)
     drive(env, ao.run(1, target_free=100))
     assert vmm.tables[1].resident_count == 10  # nothing evicted
+
+
+def test_aggressive_waits_for_the_fault_demanding_its_victims():
+    """The outgoing process's own fault in flight demands every page
+    ``ao`` picks: the batch frees nothing, and ``ao`` must wait for that
+    fault to end instead of re-picking at the same instant forever."""
+    env, disk, vmm = make_node(total_frames=256)
+    vmm.register_process(1, 256)
+    fill(env, vmm, 1, np.arange(64))
+    # demands the 64 resident pages plus 16 zero-fill pages, whose
+    # minor-fault charge keeps the fault in flight
+    fault = env.process(vmm.touch(1, np.arange(80)))
+    env.step()  # start the fault: it now sits in its zero-fill delay
+    assert [pid for pid, _ in vmm._active_demands] == [1]
+    ao = AggressivePageOut(vmm, batch_pages=64)
+    p = env.process(ao.run(out_pid=1, target_free=256))
+    for _ in range(1000):
+        if not p.is_alive:
+            break
+        env.step()
+    assert not p.is_alive and not fault.is_alive
+    assert env.now > 0
+    assert vmm.tables[1].resident_count == 0
+    assert vmm._active_demands == []
+    vmm.check_invariants()
+
+
+def test_aggressive_spin_config_completes():
+    """A gang-scheduled cell whose ``ao`` batches used to free nothing
+    at one virtual instant until the event watchdog fired."""
+    res = run_experiment(GangConfig(
+        "CG", "B", nprocs=1, policy="so/ao", scale=0.05, quantum_s=60.0,
+        seed=1, max_events=200_000,
+    ))
+    assert res.completions
 
 
 def test_aggressive_target_for_caps_at_memory():

@@ -29,6 +29,7 @@ from repro.core.policies import PAPER_POLICIES
 from repro.experiments.runner import GangConfig, run_experiment
 from repro.faults import FaultRates
 from repro.gang.job import Job
+from repro.mem.vmm import VirtualMemoryManager
 from repro.sim import set_fast_path_enabled
 from repro.workloads.npb import NPB_BENCHMARKS
 
@@ -68,6 +69,13 @@ PINNED_MONOTONE_CELLS = {
     ("LU", "C", 4, "bg"): (10912, 4568),
     ("FT", "B", 2, "bg"): (3554, 2450),
 }
+
+#: a seed-1, scale-0.05 cell on fragmented swap: some read-ahead
+#: windows span gaps in the slot map, so its eager read runs include
+#: non-contiguous groups and single-group runs —
+#: (events_simulated, events_dispatched)
+FRAGMENTED_CELL = ("LU", "B", 1, "lru")
+PINNED_FRAGMENTED = (1338, 128)
 
 #: benchmarks the randomized sweep draws from
 RANDOM_BENCHMARKS = ("LU", "CG", "MG", "FT", "IS")
@@ -143,6 +151,28 @@ def test_monotone_plan_cells_pinned(cell):
     fast, _ = _run_both(cfg)
     assert (fast.events_simulated,
             fast.events_dispatched) == PINNED_MONOTONE_CELLS[cell]
+
+
+def test_fragmented_read_runs_identical(monkeypatch):
+    shapes = []
+    commit = VirtualMemoryManager._eager_read_run
+
+    def spy(self, table, pid, groups, start, t, deadline):
+        out = commit(self, table, pid, groups, start, t, deadline)
+        run = groups[start:start + out[0]]
+        if run:
+            shapes.append((len(run), all(g.contig for g in run)))
+        return out
+
+    monkeypatch.setattr(VirtualMemoryManager, "_eager_read_run", spy)
+    bench, klass, nprocs, policy = FRAGMENTED_CELL
+    cfg = GangConfig(bench, klass, nprocs=nprocs, policy=policy,
+                     seed=1, scale=0.05)
+    fast, _ = _run_both(cfg)
+    assert any(n == 1 for n, _ in shapes)
+    assert any(not contig for _, contig in shapes)
+    assert (fast.events_simulated,
+            fast.events_dispatched) == PINNED_FRAGMENTED
 
 
 @pytest.mark.parametrize("policy", ("so/ao/bg", "so/ao/ai/bg"))
