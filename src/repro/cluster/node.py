@@ -20,7 +20,6 @@ from typing import Optional
 from repro.core.api import AdaptivePaging
 from repro.core.policies import PagingPolicy
 from repro.disk.device import Disk, DiskParams, DiskRequest
-from repro.disk.scheduler import ScheduledDisk
 from repro.faults.plan import FaultPlan
 from repro.mem.params import MemoryParams
 from repro.mem.replacement import ReplacementPolicy
@@ -49,10 +48,10 @@ class Node:
         self.env = env
         self.name = name
         self.obs = obs
-        self.disk = ScheduledDisk(
-            env, disk_params or DiskParams(), discipline=disk_discipline,
+        self.disk = Disk(
+            env, disk_params or DiskParams(),
             on_complete=on_disk_complete, name=f"{name}.disk",
-            faults=faults, obs=obs,
+            faults=faults, obs=obs, discipline=disk_discipline,
         )
         self.vmm = VirtualMemoryManager(
             env, memory, self.disk, policy=replacement, name=f"{name}.vmm",

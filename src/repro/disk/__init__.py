@@ -11,7 +11,8 @@ interleaved read/write bursts pay repeated seeks.
 Public surface
 --------------
 :class:`DiskParams`    — geometry/latency parameters.
-:class:`Disk`          — the device: queue, head position, service model.
+:class:`Disk`          — the device: queue with a FIFO, SSTF or C-SCAN
+                         discipline, head position, service model.
 :class:`DiskRequest`   — a submitted transfer (an awaitable event).
 :class:`SwapAllocator` — swap-space slot allocator with contiguous runs.
 :data:`PRIO_FOREGROUND`, :data:`PRIO_BACKGROUND` — request priorities.
@@ -25,7 +26,6 @@ from repro.disk.device import (
     DiskParams,
     DiskRequest,
 )
-from repro.disk.scheduler import ScheduledDisk
 from repro.disk.swap import SwapAllocator, SwapFullError
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ERA_DISK",
     "PRIO_BACKGROUND",
     "PRIO_FOREGROUND",
-    "ScheduledDisk",
     "SwapAllocator",
     "SwapFullError",
 ]

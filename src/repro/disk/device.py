@@ -22,6 +22,21 @@ Requests queue by ``(priority, arrival)``.  Foreground page faults use
 uses :data:`PRIO_BACKGROUND` so it never delays a foreground fault that
 is already queued.  Service is non-preemptive.
 
+Within a priority level the device's ``discipline`` picks the next
+request:
+
+``fifo``   strict arrival order (used by all paper experiments),
+``sstf``   shortest-seek-time-first: the request whose first slot is
+           nearest the head,
+``cscan``  circular elevator: requests at or above the head in
+           ascending slot order, then wrap to the lowest.
+
+A discipline only reorders *within* a priority level — a background
+write never overtakes a foreground fault.  The elevators stand for the
+kernel block layer's request sorting: position-aware dispatch can
+recover head locality that FIFO loses when page-in and page-out
+streams interleave.
+
 Faults
 ------
 With a :class:`~repro.faults.plan.FaultPlan` attached, each service
@@ -156,8 +171,7 @@ class DiskRequest(Event):
         #: later, so refault-window checks use this exact instant)
         self.completed_at: Optional[float] = None
         #: extra delay between service completion and the waiter seeing
-        #: the trigger (the fused major-fault CPU charge); honoured only
-        #: by the fast dispatcher
+        #: the trigger (the fused major-fault CPU charge)
         self._extra_delay = 0.0
 
     @property
@@ -269,7 +283,12 @@ class Disk:
     retry_budget:
         Optional cumulative retry allowance for the whole device; once
         spent, further errors fail immediately (``None`` = unlimited).
+    discipline:
+        Dispatch order within a priority level: ``"fifo"`` (arrival
+        order), ``"sstf"`` or ``"cscan"`` (see the module docstring).
     """
+
+    DISCIPLINES = ("fifo", "sstf", "cscan")
 
     def __init__(
         self,
@@ -281,7 +300,13 @@ class Disk:
         max_retries: int = 4,
         retry_budget: Optional[int] = None,
         obs=NULL_OBS,
+        discipline: str = "fifo",
     ) -> None:
+        if discipline not in self.DISCIPLINES:
+            raise ValueError(
+                f"unknown discipline {discipline!r}; "
+                f"expected one of {self.DISCIPLINES}"
+            )
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if retry_budget is not None and retry_budget < 0:
@@ -289,6 +314,7 @@ class Disk:
         self.env = env
         self.params = params
         self.name = name
+        self.discipline = discipline
         self.on_complete = on_complete
         #: optional run-aware observer ``f(op, sizes, starts, ends,
         #: pid)`` taking a whole eager run in one call; when set it
@@ -345,14 +371,18 @@ class Disk:
 
         ``extra_delay`` defers the waiter-visible completion trigger by
         that much *after* service finishes (the device itself frees at
-        service completion).  The fault path uses it to fold the
+        service completion).  Both dispatchers honour it; the fault path
+        passes a nonzero value only on the fast path, where it folds the
         per-group major-fault CPU charge into the trigger instead of a
-        separate timeout event; only the fast dispatcher honours it, so
-        callers must pass 0 when the fast path is disabled.
+        separate timeout event.
         """
         req = DiskRequest(self, np.asarray(slots, dtype=np.int64), op, priority, pid)
         req._extra_delay = extra_delay
-        if _fastpath.ENABLED and not self._busy and not self._queue:
+        # the callback chain serves FIFO disks only: an elevator must see
+        # every same-instant submission before it picks, which the
+        # coroutine dispatcher's deferred start provides
+        chained = _fastpath.ENABLED and self.discipline == "fifo"
+        if chained and not self._busy and not self._queue:
             # idle disk, empty heap (an empty heap implies _live == 0):
             # the push/pop round trip the dispatcher would perform is a
             # no-op, so start service directly.  Depth accounting and
@@ -372,7 +402,7 @@ class Disk:
             self.max_queue_seen = depth
         if not self._busy:
             self._busy = True
-            if _fastpath.ENABLED:
+            if chained:
                 self._dispatch_next()
             else:
                 self.env.process(self._serve())
@@ -386,10 +416,6 @@ class Disk:
     @property
     def busy(self) -> bool:
         return self._busy
-
-    def service_time(self, request: DiskRequest) -> tuple[float, int]:
-        """Compute (duration, seeks) for ``request`` given head state."""
-        return self.service_time_for(request.slots, request.op)
 
     def service_time_for(self, slots: np.ndarray, op: str) -> tuple[float, int]:
         """(duration, seeks) for a transfer of ``slots`` starting now.
@@ -436,64 +462,110 @@ class Disk:
         )
         return duration, seeks
 
-    # -- dispatcher --------------------------------------------------------
-    def _service_one(self, req: DiskRequest):
-        """Process fragment: position, transfer and complete ``req``.
+    # -- request queue -----------------------------------------------------
+    def _pop_next(self) -> Optional[DiskRequest]:
+        """Dequeue the next live request per the discipline (None if none).
 
-        Each attempt may be hit by an injected latency spike or
-        transient error; errors retry with exponential backoff until
-        ``max_retries`` (or the device-wide retry budget) is exhausted,
-        at which point the request fails with :class:`DiskFailure`.
+        FIFO takes heap order.  The elevators choose among the live
+        entries of the best priority — SSTF by distance from the head,
+        C-SCAN ahead of the head in ascending slot order, then wrapping
+        — with arrival order (``seq``) breaking ties.
         """
-        start = self.env.now
-        attempt = 0
-        while True:
-            duration, seeks = self.service_time(req)
-            if self.faults is not None:
-                spike = self.faults.disk_latency_factor(self.name)
-                if spike > 1.0:
-                    self.latency_spikes += 1
-                    self._c_spikes.inc()
-                    duration *= spike
-            yield self.env.timeout(duration)
-            self.total_busy_s += duration
-            if self.faults is not None and self.faults.disk_error(self.name):
-                self.error_count += 1
-                self._c_errors.inc()
-                budget_out = self.retry_budget_left == 0
-                if attempt >= self.max_retries or budget_out:
-                    self.failed_requests += 1
-                    self._c_failed.inc()
-                    why = ("device retry budget exhausted" if budget_out
-                           else f"failed after {attempt} retries")
-                    req.fail(DiskFailure(
-                        f"{self.name}: {req.op} of {req.npages} pages {why}"
-                    ))
-                    return
-                if self.retry_budget_left is not None:
-                    self.retry_budget_left -= 1
-                attempt += 1
-                self.retry_count += 1
-                self._c_retries.inc()
-                yield self.env.timeout(
-                    self.params.positioning_s * (2 ** attempt)
-                )
-                continue
-            break
-        # update head state
-        self._head = int(req.slots[-1]) + 1
-        self._last_op = req.op
-        # statistics
-        npages = req.npages
+        queue = self._queue
+        if self.discipline == "fifo":
+            while queue:
+                req = heapq.heappop(queue)[2]
+                if not req.cancelled:  # else cancel() returned its _live
+                    break
+            else:
+                return None
+        else:
+            live = [e for e in queue if not e[2].cancelled]
+            if not live:
+                queue.clear()
+                return None
+            head = self._head
+            if self.discipline == "sstf":
+                def key(e):
+                    return e[0], abs(int(e[2].slots[0]) - head), e[1]
+            else:  # cscan
+                def key(e):
+                    # ahead of the head first (ascending), then wrap
+                    start = int(e[2].slots[0])
+                    return e[0], start < head, start, e[1]
+            chosen = min(live, key=key)
+            live.remove(chosen)
+            heapq.heapify(live)
+            queue[:] = live
+            req = chosen[2]
+        req._queued = False
+        self._live -= 1
+        return req
+
+    # -- one service attempt -------------------------------------------------
+    # Both dispatchers run a request through the same steps in the same
+    # order, so service times, statistics and fault-plan draws match:
+    # _attempt_time (spike draw), the service delay, the error draw and
+    # _retry_or_fail with its backoff delay, and finally _complete.
+
+    def _attempt_time(self, req: DiskRequest) -> tuple[float, int]:
+        """(duration, seeks) of one service attempt, latency spike included."""
+        duration, seeks = self.service_time_for(req.slots, req.op)
+        if self.faults is not None:
+            spike = self.faults.disk_latency_factor(self.name)
+            if spike > 1.0:
+                self.latency_spikes += 1
+                self._c_spikes.inc()
+                duration *= spike
+        return duration, seeks
+
+    def _attempt_errored(self, duration: float) -> bool:
+        """Account one finished attempt and draw its transient error."""
+        self.total_busy_s += duration
+        return self.faults is not None and self.faults.disk_error(self.name)
+
+    def _retry_or_fail(self, req: DiskRequest, attempt: int) -> Optional[float]:
+        """Handle an error on ``attempt``: the backoff before the retry,
+        or ``None`` once ``req`` has failed with :class:`DiskFailure`
+        (per-request retries or the device budget spent)."""
+        self.error_count += 1
+        self._c_errors.inc()
+        budget_out = self.retry_budget_left == 0
+        if attempt >= self.max_retries or budget_out:
+            self.failed_requests += 1
+            self._c_failed.inc()
+            why = ("device retry budget exhausted" if budget_out
+                   else f"failed after {attempt} retries")
+            req.fail(DiskFailure(
+                f"{self.name}: {req.op} of {req.npages} pages {why}"
+            ))
+            return None
+        if self.retry_budget_left is not None:
+            self.retry_budget_left -= 1
+        self.retry_count += 1
+        self._c_retries.inc()
+        return self.params.positioning_s * (2 ** (attempt + 1))
+
+    def _account(self, slots: np.ndarray, op: str, duration: float,
+                 seeks: int) -> None:
+        """Head state, statistics and telemetry of one served transfer."""
+        self._head = int(slots[-1]) + 1
+        self._last_op = op
+        npages = slots.size
         self.total_requests += 1
-        self.total_pages[req.op] += npages
+        self.total_pages[op] += npages
         self.total_seeks += seeks
         if self._obs_on:
             self._c_requests.inc()
-            (self._c_pages_read if req.op == "read"
+            (self._c_pages_read if op == "read"
              else self._c_pages_write).inc(npages)
             self._c_seeks.inc(seeks)
             self._h_service.observe(duration)
+
+    def _complete(self, req: DiskRequest, start: float, duration: float,
+                  seeks: int) -> None:
+        """Finish ``req`` successfully: account it, trigger it, report it."""
+        self._account(req.slots, req.op, duration, seeks)
         req.service_time = duration
         req.seeks = seeks
         req.completed_at = self.env.now
@@ -509,47 +581,49 @@ class Disk:
         if self.on_complete is not None:
             self.on_complete(req, start, self.env.now)
 
+    # -- coroutine dispatcher ------------------------------------------------
+    # The scalar oracle's dispatcher, and every elevator disk's in both
+    # modes: one process per busy period, started at the next engine step.
     def _serve(self):
-        while self._queue:
-            _, _, req = heapq.heappop(self._queue)
-            if req.cancelled:
-                continue  # its _live slot was returned by cancel()
-            req._queued = False
-            self._live -= 1
+        while (req := self._pop_next()) is not None:
             yield from self._service_one(req)
         self._busy = False
 
-    # -- fast dispatcher ---------------------------------------------------
-    # A callback-chained rewrite of _serve/_service_one, used when the
-    # steady-state fast path is on.  Per request it schedules exactly one
-    # service Timeout (whose callback performs the completion) instead of
-    # spinning up a coroutine process per idle-disk submit — removing the
-    # Initialize and process-termination events while computing the same
-    # service times, head state, statistics and fault (RNG) draws in the
-    # same order.  Simulated timing is bit-for-bit identical; only
-    # events_processed drops.
+    def _service_one(self, req: DiskRequest):
+        """Process fragment: serve ``req``, retrying transient errors."""
+        start = self.env.now
+        attempt = 0
+        while True:
+            duration, seeks = self._attempt_time(req)
+            yield self.env.timeout(duration)
+            if not self._attempt_errored(duration):
+                break
+            backoff = self._retry_or_fail(req, attempt)
+            if backoff is None:
+                return
+            attempt += 1
+            yield self.env.timeout(backoff)
+        self._complete(req, start, duration, seeks)
+
+    # -- callback dispatcher -------------------------------------------------
+    # A callback-chained rewrite of _serve/_service_one for FIFO disks on
+    # the fast path.  Per request it schedules exactly one service event
+    # (whose callback performs the completion) instead of spinning up a
+    # coroutine process per idle-disk submit — removing the Initialize
+    # and process-termination events while running the same attempt
+    # steps in the same order.  Simulated timing is bit-for-bit
+    # identical; only events_processed drops.
 
     def _dispatch_next(self) -> None:
-        queue = self._queue
-        while queue:
-            _, _, req = heapq.heappop(queue)
-            if req.cancelled:
-                continue  # its _live slot was returned by cancel()
-            req._queued = False
-            self._live -= 1
+        req = self._pop_next()
+        if req is None:
+            self._busy = False
+        else:
             self._start_attempt(req, self.env.now, 0)
-            return
-        self._busy = False
 
     def _start_attempt(self, req: DiskRequest, start: float,
                        attempt: int) -> None:
-        duration, seeks = self.service_time(req)
-        if self.faults is not None:
-            spike = self.faults.disk_latency_factor(self.name)
-            if spike > 1.0:
-                self.latency_spikes += 1
-                self._c_spikes.inc()
-                duration *= spike
+        duration, seeks = self._attempt_time(req)
         # bare pre-triggered event scheduled `duration` out: what
         # Timeout() builds, minus the subclass ceremony — this runs once
         # per disk request, the single most allocated event of a
@@ -565,62 +639,16 @@ class Disk:
 
     def _finish_attempt(self, req: DiskRequest, start: float, attempt: int,
                         duration: float, seeks: int) -> None:
-        self.total_busy_s += duration
-        if self.faults is not None and self.faults.disk_error(self.name):
-            self.error_count += 1
-            self._c_errors.inc()
-            budget_out = self.retry_budget_left == 0
-            if attempt >= self.max_retries or budget_out:
-                self.failed_requests += 1
-                self._c_failed.inc()
-                why = ("device retry budget exhausted" if budget_out
-                       else f"failed after {attempt} retries")
-                req.fail(DiskFailure(
-                    f"{self.name}: {req.op} of {req.npages} pages {why}"
-                ))
-                self._dispatch_next()
-                return
-            if self.retry_budget_left is not None:
-                self.retry_budget_left -= 1
-            attempt += 1
-            self.retry_count += 1
-            self._c_retries.inc()
-            backoff = self.env.timeout(
-                self.params.positioning_s * (2 ** attempt)
-            )
-            backoff.callbacks.append(
-                lambda _e, req=req, start=start, attempt=attempt:
-                self._start_attempt(req, start, attempt)
-            )
-            return
-        # update head state
-        self._head = int(req.slots[-1]) + 1
-        self._last_op = req.op
-        # statistics
-        npages = req.npages
-        self.total_requests += 1
-        self.total_pages[req.op] += npages
-        self.total_seeks += seeks
-        if self._obs_on:
-            self._c_requests.inc()
-            (self._c_pages_read if req.op == "read"
-             else self._c_pages_write).inc(npages)
-            self._c_seeks.inc(seeks)
-            self._h_service.observe(duration)
-        req.service_time = duration
-        req.seeks = seeks
-        req.completed_at = self.env.now
-        extra = req._extra_delay
-        if extra > 0.0:
-            # fused major-fault CPU charge: trigger fires `extra` later,
-            # but the device frees (and the next request starts) now
-            req._ok = True
-            req._value = duration
-            self.env._schedule(req, NORMAL, extra)
+        if not self._attempt_errored(duration):
+            self._complete(req, start, duration, seeks)
         else:
-            req.succeed(duration)
-        if self.on_complete is not None:
-            self.on_complete(req, start, self.env.now)
+            backoff = self._retry_or_fail(req, attempt)
+            if backoff is not None:
+                self.env.timeout(backoff).callbacks.append(
+                    lambda _e, req=req, start=start, attempt=attempt + 1:
+                    self._start_attempt(req, start, attempt)
+                )
+                return
         self._dispatch_next()
 
     # -- batch-advance (eager) service -------------------------------------
@@ -638,8 +666,8 @@ class Disk:
 
         Requires an idle device with an empty queue (so eager service
         cannot reorder against queued work), no fault plan (injection
-        points are interaction boundaries), FIFO discipline (the
-        elevator disciplines queue through their own pending list), and
+        points are interaction boundaries), FIFO discipline (an elevator
+        must see the queue to reorder it), and
         the flat-seek model (the reclaim-bound arithmetic in the VMM
         assumes one ``positioning_s`` upper-bounds any seek).
         """
@@ -647,7 +675,7 @@ class Disk:
             not self._busy
             and not self._queue
             and self.faults is None
-            and getattr(self, "discipline", "fifo") == "fifo"
+            and self.discipline == "fifo"
             and self.params.seek_distance_coef_s == 0.0
         )
 
@@ -661,9 +689,9 @@ class Disk:
     ) -> _EagerRequest:
         """Service one transfer synchronously, starting at local time ``t``.
 
-        Mirrors ``_start_attempt`` + ``_finish_attempt`` for a
-        fault-free device: same service-time arithmetic against the
-        current head state, same statistics, and the completion hook
+        Mirrors one dispatched attempt on a fault-free device: same
+        service-time arithmetic against the current head state, same
+        accounting (:meth:`_account`), and the completion hook
         fires with the exact (start, end) window the dispatcher would
         have used.  Absorbs the service timeout and completion trigger
         (two events).
@@ -679,18 +707,7 @@ class Disk:
         if self.max_queue_seen < 1:
             self.max_queue_seen = 1
         self.total_busy_s += duration
-        self._head = int(slots[-1]) + 1
-        self._last_op = op
-        npages = req.npages
-        self.total_requests += 1
-        self.total_pages[op] += npages
-        self.total_seeks += seeks
-        if self._obs_on:
-            self._c_requests.inc()
-            (self._c_pages_read if op == "read"
-             else self._c_pages_write).inc(npages)
-            self._c_seeks.inc(seeks)
-            self._h_service.observe(duration)
+        self._account(slots, op, duration, seeks)
         req.service_time = duration
         req.seeks = seeks
         completed = t + duration

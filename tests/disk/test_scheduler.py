@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.disk import DiskParams
-from repro.disk.scheduler import ScheduledDisk
+from repro.disk import Disk, DiskParams
 from repro.sim import Environment
 
 
 def make(discipline):
     env = Environment()
-    disk = ScheduledDisk(env, DiskParams(), discipline=discipline)
+    disk = Disk(env, DiskParams(), discipline=discipline)
     return env, disk
 
 
@@ -25,7 +24,7 @@ def completion_order(env, disk, requests):
 def test_unknown_discipline_rejected():
     env = Environment()
     with pytest.raises(ValueError, match="unknown discipline"):
-        ScheduledDisk(env, discipline="elevator9000")
+        Disk(env, discipline="elevator9000")
 
 
 def test_fifo_mode_behaves_like_base_disk():
@@ -88,7 +87,7 @@ def test_cancelled_requests_skipped():
 def test_statistics_and_hooks_still_work():
     events = []
     env = Environment()
-    disk = ScheduledDisk(
+    disk = Disk(
         env, DiskParams(), discipline="cscan",
         on_complete=lambda req, s, e: events.append(req.op),
     )
@@ -107,7 +106,7 @@ def test_sstf_reduces_total_seek_time_vs_fifo():
 
     def run(discipline):
         env = Environment()
-        disk = ScheduledDisk(env, params, discipline=discipline)
+        disk = Disk(env, params, discipline=discipline)
         rng = np.random.default_rng(5)
         starts = rng.integers(0, 200000, 64)
         for s in starts:
@@ -123,11 +122,11 @@ def test_distance_coefficient_changes_cost():
     flat = DiskParams()
     dist = DiskParams(seek_distance_coef_s=1e-4)
     env1 = Environment()
-    d1 = ScheduledDisk(env1, flat, discipline="fifo")
+    d1 = Disk(env1, flat, discipline="fifo")
     r1 = d1.submit(np.array([100000]), "read")
     env1.run()
     env2 = Environment()
-    d2 = ScheduledDisk(env2, dist, discipline="fifo")
+    d2 = Disk(env2, dist, discipline="fifo")
     r2 = d2.submit(np.array([100000]), "read")
     env2.run()
     expected_extra = 1e-4 * np.sqrt(100000)

@@ -26,7 +26,7 @@ PACKAGES = [
 MODULES = PACKAGES + [
     "repro.sim.engine", "repro.sim.resources", "repro.sim.rng",
     "repro.sim.monitor", "repro.sim.tracing",
-    "repro.disk.device", "repro.disk.swap", "repro.disk.scheduler",
+    "repro.disk.device", "repro.disk.swap",
     "repro.mem.params", "repro.mem.frames", "repro.mem.page_table",
     "repro.mem.replacement", "repro.mem.readahead",
     "repro.mem.working_set", "repro.mem.vmm", "repro.mem.diagnostics",
