@@ -92,6 +92,13 @@ def plan_swapins(
         raise ValueError("plan_swapins expects only absent pages")
 
     demand_slots = table.swap_slot[demand]
+    # Positions (in touch order) of the swap-backed demand pages; the
+    # rest are never-touched pages that are zero-filled.
+    swap_pos = np.flatnonzero(demand_slots >= 0)
+    if swap_pos.size == 0:
+        return [FaultGroup(np.sort(demand), None)]
+    swap_slots = demand_slots[swap_pos]
+    zero_pages = demand[demand_slots < 0]
 
     # Reverse map of this process's swapped-out pages, ordered by slot,
     # for the read-ahead window lookup.  Only slots inside
@@ -99,29 +106,26 @@ def plan_swapins(
     # read-ahead window of this plan, so the map is built over that
     # range instead of every swapped page the process owns — with large
     # residual swap footprints this cuts the dominant scan/argsort cost.
-    have_swap = demand_slots >= 0
-    if have_swap.any():
-        lo_slot = int(demand_slots[have_swap].min())
-        hi_slot = int(demand_slots.max()) + window
-        in_range = (
-            (~table.present)
-            & (table.swap_slot >= lo_slot)
-            & (table.swap_slot < hi_slot)
-        )
-        swapped = np.flatnonzero(in_range)
-        sw_slots = table.swap_slot[swapped]
-        order = np.argsort(sw_slots)
-        sw_slots = sw_slots[order]
-        sw_pages = swapped[order]
-        # The per-page window bounds are independent of planning order,
-        # so they are batched into two searchsorted calls up front
-        # instead of two numpy calls per faulted page.
-        los = np.searchsorted(sw_slots, demand_slots, side="left")
-        his = np.searchsorted(sw_slots, demand_slots + window, side="left")
-    else:
-        # Pure zero-fill demand: no swap copies involved at all.
-        sw_slots = sw_pages = np.empty(0, dtype=np.int64)
-        los = his = np.zeros(demand.size, dtype=np.int64)
+    lo_slot = int(swap_slots.min())
+    hi_slot = int(swap_slots.max()) + window
+    in_range = (
+        (~table.present)
+        & (table.swap_slot >= lo_slot)
+        & (table.swap_slot < hi_slot)
+    )
+    swapped = np.flatnonzero(in_range)
+    sw_slots = table.swap_slot[swapped]
+    order = np.argsort(sw_slots)
+    sw_slots = sw_slots[order]
+    sw_pages = swapped[order]
+    # The per-page window bounds are independent of planning order,
+    # so they are batched into two searchsorted calls up front
+    # instead of two numpy calls per faulted page.
+    los = np.searchsorted(sw_slots, swap_slots, side="left")
+    his = np.searchsorted(sw_slots, swap_slots + window, side="left")
+    # Zero-fill pages touched before the k-th swap-backed page: the
+    # zero-fill run between two group leaders is one sorted group.
+    zeros_before = swap_pos - np.arange(swap_pos.size)
 
     # When the slot map is page-ascending (slots were handed out in
     # page order — the common case), every window slice is already
@@ -132,54 +136,41 @@ def plan_swapins(
     # swap-backed demand page appears exactly once in the sorted slot
     # map (slots are unique), at position ``los[i]`` (its own slot is
     # the first >= itself).  A bytearray over the map gives C-speed
-    # scalar skip tests and slice coverage marks; zero-fill pages need
-    # no membership test at all (windows only ever absorb swap-backed
-    # pages, and the demand list is already deduplicated).
+    # scalar skip tests and slice coverage marks.  Only swap-backed
+    # pages are visited: windows never absorb zero-fill pages.
     covered = bytearray(len(sw_pages))
+    slot_list = sw_slots.tolist()
     groups: list[FaultGroup] = []
-    zero_acc: list[int] = []
-
-    def flush_zero():
-        if zero_acc:
-            groups.append(
-                FaultGroup(np.asarray(sorted(zero_acc), dtype=np.int64), None)
-            )
-            zero_acc.clear()
-
-    # single zip drive: three scalar list indexings per page replaced
-    # by tuple unpacking (this loop runs once per demanded page and is
-    # the planner's dominant cost at thrash scale)
-    slot_list = demand_slots.tolist()
-    for page, slot, lo, hi in zip(demand.tolist(), slot_list,
-                                  los.tolist(), his.tolist()):
-        if slot < 0:
-            # Never touched: zero-fill.
-            zero_acc.append(page)
-            continue
+    zero_done = 0
+    for lo, hi, z in zip(los.tolist(), his.tolist(), zeros_before.tolist()):
         if covered[lo]:
             continue
-        flush_zero()
+        if z > zero_done:
+            groups.append(FaultGroup(np.sort(zero_pages[zero_done:z]), None))
+            zero_done = z
         # Read-ahead: all absent pages with slots in [slot, slot+window).
         cand_pages = sw_pages[lo:hi]
         cand_slots = sw_slots[lo:hi]
-        if 1 in covered[lo:hi]:
-            keep = np.frombuffer(covered[lo:hi], dtype=np.uint8) == 0
+        # the contiguity test is judged on the slot-sorted candidates,
+        # where the span test is exact; the first one is never covered
+        first = slot_list[lo]
+        span = covered[lo:hi]
+        if 1 in span:
+            keep = np.frombuffer(span, dtype=np.uint8) == 0
             cand_pages = cand_pages[keep]
             cand_slots = cand_slots[keep]
-        covered[lo:hi] = b"\x01" * (hi - lo)
-        # judged on the still-slot-sorted candidate view, where the
-        # span test is exact
-        first = int(cand_slots[0])
-        contig = int(cand_slots[-1]) - first == cand_slots.size - 1
-        if page_asc:
-            groups.append(FaultGroup(cand_pages, cand_slots,
-                                     contig, first))
+            contig = int(cand_slots[-1]) - first == cand_slots.size - 1
         else:
-            idx = np.argsort(cand_pages)
-            groups.append(FaultGroup(cand_pages[idx], cand_slots[idx],
-                                     contig, first))
+            contig = slot_list[hi - 1] - first == hi - lo - 1
+        covered[lo:hi] = b"\x01" * (hi - lo)
+        if not page_asc:
+            idx = cand_pages.argsort()
+            cand_pages = cand_pages[idx]
+            cand_slots = cand_slots[idx]
+        groups.append(FaultGroup(cand_pages, cand_slots, contig, first))
 
-    flush_zero()
+    if zero_done < zero_pages.size:
+        groups.append(FaultGroup(np.sort(zero_pages[zero_done:]), None))
     return groups
 
 

@@ -110,14 +110,30 @@ class ReplacementPolicy:
 
 
 class GlobalLruPolicy(ReplacementPolicy):
-    """Evict the globally oldest pages by last-reference time."""
+    """Evict the globally oldest pages by last-reference time.
+
+    Ties at the cut-off are resolved by ``np.argpartition``: when more
+    pages share the cut-off ``last_ref`` than are still wanted, the
+    partition kernel decides which of them are evicted.  numpy picks
+    that kernel by the CPU's SIMD level, so an LRU run with tied ages
+    can differ across CPUs; on an AVX-512 host,
+    ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` reproduces
+    the other choice.  Faster code must therefore hand ``argpartition``
+    exactly the array it gets here: every table's candidate ages,
+    concatenated in table order.
+    """
 
     name = "global-lru"
+
+    def __init__(self) -> None:
+        # the concatenated candidate ages, reused across calls instead of
+        # allocating a fresh array per call
+        self._ages = np.empty(0)
 
     def select_victims(self, tables, count, cluster, protect=None):
         if count <= 0:
             return []
-        pids: list[np.ndarray] = []
+        pids: list[int] = []
         pages: list[np.ndarray] = []
         ages: list[np.ndarray] = []
         for pid, table in tables.items():
@@ -126,38 +142,41 @@ class GlobalLruPolicy(ReplacementPolicy):
             res, age = self._drop_protected(table, protect, res, age)
             if res.size == 0:
                 continue
-            pids.append(np.full(res.size, pid, dtype=np.int64))
+            pids.append(int(pid))
             pages.append(res)
             ages.append(age)
         if not pages:
             return []
-        if len(pages) == 1:
-            all_pids, all_pages, all_ages = pids[0], pages[0], ages[0]
-        else:
-            all_pids = np.concatenate(pids)
-            all_pages = np.concatenate(pages)
-            all_ages = np.concatenate(ages)
-        take = min(count, all_pages.size)
-        idx = np.argpartition(all_ages, take - 1)[:take] if take < all_pages.size \
-            else np.arange(all_pages.size)
+        # Only the ages are concatenated, in table order; pages and pids
+        # are looked up afterwards for the selected indices alone.
+        total = sum(a.size for a in ages)
+        if self._ages.size < total:
+            self._ages = np.empty(total)  # last_ref's float64
+        all_ages = np.concatenate(ages, out=self._ages[:total])
+        take = min(count, total)
+        idx = np.argpartition(all_ages, take - 1)[:take] if take < total \
+            else np.arange(total)
         # Order victims by age (oldest first) for deterministic batching.
         idx = idx[np.argsort(all_ages[idx], kind="stable")]
-        batches: list[VictimBatch] = []
-        sel_pids = all_pids[idx]
-        sel_pages = all_pages[idx]
+        # Map each selected index back to (table, page) through the
+        # per-table offsets into the age array.
+        n = idx.size
+        starts = np.cumsum([0] + [p.size for p in pages])
+        sel_tab = np.searchsorted(starts, idx, side="right") - 1
+        sel_pages = np.empty(n, dtype=np.int64)
+        for t, res in enumerate(pages):
+            hit = sel_tab == t
+            sel_pages[hit] = res[idx[hit] - starts[t]]
         # Group consecutive same-pid victims into cluster batches so one
         # batch never mixes processes (a disk write is per process).
         # Pid-run boundaries are found vectorised; each run is then cut
         # into cluster-sized chunks from its start, which reproduces the
         # original scalar scan exactly.
-        n = idx.size
-        if len(pages) == 1:
-            bounds = [0, n]
-        else:
-            change = np.flatnonzero(sel_pids[1:] != sel_pids[:-1]) + 1
-            bounds = [0, *change.tolist(), n]
+        batches: list[VictimBatch] = []
+        change = np.flatnonzero(sel_tab[1:] != sel_tab[:-1]) + 1
+        bounds = [0, *change.tolist(), n]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            pid = int(sel_pids[a])
+            pid = pids[int(sel_tab[a])]
             # all full cluster chunks of this run are sorted in one
             # vectorised call (a row-wise sort of the reshaped block is
             # exactly the per-chunk np.sort); only the tail chunk needs
