@@ -37,6 +37,11 @@ kernel block layer's request sorting: position-aware dispatch can
 recover head locality that FIFO loses when page-in and page-out
 streams interleave.
 
+A request that finds a FIFO disk idle starts service at submit.  An
+idle elevator defers the first pick of its busy period by one
+zero-delay event, so it chooses among every request submitted at that
+instant.
+
 Faults
 ------
 With a :class:`~repro.faults.plan.FaultPlan` attached, each service
@@ -60,8 +65,7 @@ import numpy as np
 from repro.faults.errors import DiskFailure
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import NULL_OBS
-from repro.sim import fastpath as _fastpath
-from repro.sim.engine import NORMAL, Environment, Event
+from repro.sim.engine import NORMAL, URGENT, Environment, Event
 
 #: Queue priority for demand faults and switch-time paging bursts.
 PRIO_FOREGROUND = 0
@@ -184,12 +188,11 @@ class DiskRequest(Event):
         Returns True if cancelled (the event then never fires), False if
         service already started or completed.
         """
-        if self.triggered or self.cancelled:
+        if not self._queued:
             return False
+        self._queued = False
         self.cancelled = True
-        if self._queued:
-            self._queued = False
-            self.disk._live -= 1
+        self.disk._live -= 1
         return True
 
 
@@ -371,22 +374,15 @@ class Disk:
 
         ``extra_delay`` defers the waiter-visible completion trigger by
         that much *after* service finishes (the device itself frees at
-        service completion).  Both dispatchers honour it; the fault path
-        passes a nonzero value only on the fast path, where it folds the
-        per-group major-fault CPU charge into the trigger instead of a
-        separate timeout event.
+        service completion).  The fault path passes a nonzero value only
+        on the fast path, where it folds the per-group major-fault CPU
+        charge into the trigger instead of a separate timeout event.
         """
         req = DiskRequest(self, np.asarray(slots, dtype=np.int64), op, priority, pid)
         req._extra_delay = extra_delay
-        # the callback chain serves FIFO disks only: an elevator must see
-        # every same-instant submission before it picks, which the
-        # coroutine dispatcher's deferred start provides
-        chained = _fastpath.ENABLED and self.discipline == "fifo"
-        if chained and not self._busy and not self._queue:
-            # idle disk, empty heap (an empty heap implies _live == 0):
-            # the push/pop round trip the dispatcher would perform is a
-            # no-op, so start service directly.  Depth accounting and
-            # head/statistics updates are identical to the queued path.
+        if not self._busy and self.discipline == "fifo":
+            # idle FIFO disk (idle implies an empty queue): start service
+            # at submit — the first pick would be this request anyway
             if self.max_queue_seen < 1:
                 self.max_queue_seen = 1
             self._busy = True
@@ -401,11 +397,14 @@ class Disk:
         if depth > self.max_queue_seen:
             self.max_queue_seen = depth
         if not self._busy:
+            # idle elevator: defer the first pick of the busy period by
+            # one zero-delay urgent event, so it chooses among every
+            # request submitted at this instant
             self._busy = True
-            if chained:
-                self._dispatch_next()
-            else:
-                self.env.process(self._serve())
+            pick = Event(self.env)
+            pick._value = None
+            pick.callbacks.append(self._dispatch_next)
+            self.env._schedule(pick, URGENT)
         return req
 
     @property
@@ -503,8 +502,7 @@ class Disk:
         return req
 
     # -- one service attempt -------------------------------------------------
-    # Both dispatchers run a request through the same steps in the same
-    # order, so service times, statistics and fault-plan draws match:
+    # Every request runs through the same steps in the same order:
     # _attempt_time (spike draw), the service delay, the error draw and
     # _retry_or_fail with its backoff delay, and finally _complete.
 
@@ -581,40 +579,12 @@ class Disk:
         if self.on_complete is not None:
             self.on_complete(req, start, self.env.now)
 
-    # -- coroutine dispatcher ------------------------------------------------
-    # The scalar oracle's dispatcher, and every elevator disk's in both
-    # modes: one process per busy period, started at the next engine step.
-    def _serve(self):
-        while (req := self._pop_next()) is not None:
-            yield from self._service_one(req)
-        self._busy = False
+    # -- dispatcher ------------------------------------------------------------
+    # One busy period is a chain of callbacks: each attempt schedules one
+    # service event whose callback finishes it (completion, or the
+    # backoff timeout before the retry) and then pops the next request.
 
-    def _service_one(self, req: DiskRequest):
-        """Process fragment: serve ``req``, retrying transient errors."""
-        start = self.env.now
-        attempt = 0
-        while True:
-            duration, seeks = self._attempt_time(req)
-            yield self.env.timeout(duration)
-            if not self._attempt_errored(duration):
-                break
-            backoff = self._retry_or_fail(req, attempt)
-            if backoff is None:
-                return
-            attempt += 1
-            yield self.env.timeout(backoff)
-        self._complete(req, start, duration, seeks)
-
-    # -- callback dispatcher -------------------------------------------------
-    # A callback-chained rewrite of _serve/_service_one for FIFO disks on
-    # the fast path.  Per request it schedules exactly one service event
-    # (whose callback performs the completion) instead of spinning up a
-    # coroutine process per idle-disk submit — removing the Initialize
-    # and process-termination events while running the same attempt
-    # steps in the same order.  Simulated timing is bit-for-bit
-    # identical; only events_processed drops.
-
-    def _dispatch_next(self) -> None:
+    def _dispatch_next(self, _pick: Optional[Event] = None) -> None:
         req = self._pop_next()
         if req is None:
             self._busy = False
@@ -652,7 +622,7 @@ class Disk:
         self._dispatch_next()
 
     # -- batch-advance (eager) service -------------------------------------
-    # Used by batch-advance (part of the fast path, repro.sim.fastpath):
+    # Used by batch-advance (part of the fast path):
     # while the VMM holds a quiescence proof for the node (idle disk, no
     # competing demand, deadline slack, no fault plan), requests are
     # serviced synchronously under a caller-maintained local clock.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.policies import PagingPolicy
-from repro.experiments.runner import GangConfig, run_experiment, run_modes
+from repro.experiments.runner import GangConfig, run_experiment
 from repro.metrics.analysis import overhead_seconds, paging_reduction
 from repro.metrics.report import format_table, percent
 

@@ -6,9 +6,8 @@ change any simulated outcome:
 
 * the job execution loop coalesces consecutive fully-resident chunks
   into a single CPU timeout (:mod:`repro.gang.job`);
-* the disk dispatches requests through a callback chain instead of one
-  coroutine process per request, and folds the per-group major-fault
-  CPU charge into the request's completion trigger;
+* the fault path folds the per-group major-fault CPU charge into the
+  disk request's completion trigger instead of a separate timeout;
 * **batch-advance**: inside a demand fill the VMM detects runs of
   same-type, non-interacting events (sequential disk read groups,
   zero-fill delays, reclaim write batches) and applies their entire
@@ -28,10 +27,12 @@ every simulation *output* (makespan, paging/fault counters, metrics
 records, mechanism counters) stays bit-for-bit identical, while
 ``Environment.events_processed`` legitimately drops because fewer
 bookkeeping events exist.  ``set_fast_path_enabled(False)`` selects the
-scalar oracle, which restores the per-chunk/per-process event structure
-exactly, reproducing the historical event stream (the documented
-re-baseline for pinned event counts is keyed on this switch — see
-docs/architecture.md), and rescans every page-table view on each call.
+scalar oracle, which restores the per-chunk job event structure exactly
+and rescans every page-table view on each call.  The disk is not part
+of either mode: one dispatcher serves both, so the oracle's event
+stream is the historical one without the disk process each busy period
+used to spawn (the documented re-baseline for pinned event counts is
+keyed on this switch — see docs/architecture.md).
 
 This is the simulator's only execution switch.  It is read at run time
 so identity tests can compare the modes; toggle it *between*

@@ -10,7 +10,7 @@ from repro.disk import (
     DiskParams,
     DiskRequest,
 )
-from repro.sim import Environment, fastpath
+from repro.sim import Environment
 
 P = DiskParams()  # defaults: seek 8 ms, rot 4 ms, 20 MB/s, 4 KiB pages
 
@@ -141,6 +141,16 @@ def test_cancel_pending_request():
     assert disk.total_requests == 1
 
 
+def test_cancel_in_service_returns_false_and_request_completes():
+    env, disk = make_disk()
+    req = disk.submit(np.arange(0, 8), "read")  # idle disk: in service
+    assert not req.cancel()
+    assert not req.cancelled
+    env.run()
+    assert req.triggered and req.ok
+    assert disk.total_requests == 1
+
+
 def test_cancel_after_service_returns_false():
     env, disk = make_disk()
     req = run_one(disk, env, [5])
@@ -219,9 +229,8 @@ def test_queue_length_tracks():
     disk.submit(np.arange(0, 64), "read")
     disk.submit(np.array([1000]), "read")
     disk.submit(np.array([2000]), "read")
-    # the fast dispatcher pops the first request synchronously at submit;
-    # the legacy coroutine server only starts at the next engine step
-    assert disk.queue_length == (2 if fastpath.ENABLED else 3)
+    # an idle FIFO disk starts the first request at submit
+    assert disk.queue_length == 2
     assert disk.busy
     env.run()
     assert disk.queue_length == 0

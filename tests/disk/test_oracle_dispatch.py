@@ -1,11 +1,13 @@
-"""The disk unit tests under the scalar oracle's coroutine dispatcher.
+"""The disk unit tests under the scalar oracle.
 
-The other disk modules run on the default fast path, where FIFO disks
-dispatch through the callback chain.  Every test of theirs runs again
-here with the fast path off, so the oracle's retry, budget, spike and
-typed-failure handling is covered directly rather than only through
-whole-stack identity runs.  The module also records the one known case
-where the two dispatchers disagree.
+The disk has one dispatcher, and nothing in it reads the execution
+mode.  The other disk modules run on the default fast path; every test
+of theirs runs again here with the fast path off, so retry, budget,
+spike, cancellation and typed-failure handling are checked in both
+modes rather than only through whole-stack identity runs.  The module
+also pins the idle-start rule on same-instant submits: an idle FIFO
+disk starts the first request at submit, while an idle elevator defers
+its first pick so it sees every request of that instant.
 """
 
 import numpy as np
@@ -39,13 +41,15 @@ def test_under_oracle(mod, name, oracle):
     getattr(mod, name)()
 
 
-def same_instant_submits(fast, first_priority, second_priority):
+def same_instant_submits(fast, first_priority, second_priority,
+                         discipline="fifo"):
     """Completion times and peak depth of a 64-page write and an 8-page
-    read submitted at the same instant to an idle FIFO disk."""
+    read (nearer the head) submitted at the same instant to an idle
+    disk."""
     set_fast_path_enabled(fast)
     try:
         env = Environment()
-        disk = Disk(env, DiskParams())
+        disk = Disk(env, DiskParams(), discipline=discipline)
         write = disk.submit(np.arange(1000, 1064), "write", first_priority)
         read = disk.submit(np.arange(0, 8), "read", second_priority)
         env.run()
@@ -54,22 +58,34 @@ def same_instant_submits(fast, first_priority, second_priority):
     return write.completed_at, read.completed_at, disk.max_queue_seen
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the fast path's idle-disk shortcut starts service at submit, "
-           "so a foreground read submitted at the same instant waits "
-           "behind the background write; the oracle's deferred "
-           "dispatcher sees both and serves the read first",
-)
 def test_same_instant_mixed_priority_submits_agree():
-    assert (same_instant_submits(True, PRIO_BACKGROUND, PRIO_FOREGROUND)
-            == same_instant_submits(False, PRIO_BACKGROUND, PRIO_FOREGROUND))
+    fast = same_instant_submits(True, PRIO_BACKGROUND, PRIO_FOREGROUND)
+    oracle = same_instant_submits(False, PRIO_BACKGROUND, PRIO_FOREGROUND)
+    assert fast == oracle
+    # the background write started at submit, so the foreground read
+    # waits behind it despite its priority
+    write_done, read_done, depth = fast
+    assert write_done < read_done
+    assert depth == 2
 
 
 def test_same_instant_same_priority_submits_agree():
     fast = same_instant_submits(True, PRIO_FOREGROUND, PRIO_FOREGROUND)
     oracle = same_instant_submits(False, PRIO_FOREGROUND, PRIO_FOREGROUND)
-    # arrival order decides, so service order and timing agree; the
-    # peak-depth gauge does not (2 vs 3: the oracle counts the disk
-    # busy before its dispatcher has popped the first request)
-    assert fast[:2] == oracle[:2]
+    assert fast == oracle
+    assert fast[0] < fast[1]
+
+
+@pytest.mark.parametrize("discipline", ("sstf", "cscan"))
+def test_idle_elevator_reorders_same_instant_submits(discipline):
+    fast = same_instant_submits(True, PRIO_FOREGROUND, PRIO_FOREGROUND,
+                                discipline)
+    oracle = same_instant_submits(False, PRIO_FOREGROUND, PRIO_FOREGROUND,
+                                  discipline)
+    assert fast == oracle
+    # the deferred first pick sees both and serves the nearer read first
+    write_done, read_done, depth = fast
+    assert read_done < write_done
+    # the depth gauge counts the disk busy from the submit that opened
+    # the busy period, before the deferred pick
+    assert depth == 3

@@ -61,6 +61,23 @@ def test_cscan_sweeps_upward_then_wraps():
     assert order == ["above_near", "above_far", "below"]
 
 
+def test_deferred_first_pick_is_urgent():
+    """An idle elevator's first pick runs before the normal-priority
+    events already due at the same instant, as a newly started process
+    would: a submit they make arrives too late to be picked first."""
+    env, disk = make("sstf")
+    reqs = {}
+
+    def submitter(tag, slot):
+        yield env.timeout(1.0)
+        reqs[tag] = disk.submit(np.array([slot]), "read")
+
+    env.process(submitter("far", 5000))
+    env.process(submitter("near", 10))
+    env.run()
+    assert reqs["far"].completed_at < reqs["near"].completed_at
+
+
 def test_priority_still_dominates_position():
     env, disk = make("sstf")
     first = disk.submit(np.arange(0, 64), "read")  # occupy

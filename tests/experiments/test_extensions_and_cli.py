@@ -12,6 +12,7 @@ from repro.experiments import (
 )
 from repro.experiments.multi_seed import Summary, render, replicate
 from repro.experiments.runner import GangConfig
+from repro.sim import set_fast_path_enabled
 
 SCALE = 0.04
 
@@ -44,6 +45,31 @@ def test_extension_diskched_disciplines_tie():
     # synchronous paging: dispatch order barely matters
     assert max(makespans) <= min(makespans) * 1.05
     assert extension_diskched.render(rec)
+
+
+#: extension_diskched at scale 0.1, seed 1 — the smallest scale at
+#: which the adaptive cells queue two requests, so the elevators pick.
+#: The three disciplines tie at this scale.
+DISKCHED_ROW_0_1 = {
+    "batch_s": 180.029184,
+    "lru": {"makespan_s": 196.53146942278522,
+            "overhead": 0.083967648902502, "max_queue": 1},
+    "so/ao/ai/bg": {"makespan_s": 190.6869351951563,
+                    "overhead": 0.05589135503304813, "max_queue": 2},
+}
+
+
+@pytest.mark.parametrize("fast", (True, False), ids=("fast", "oracle"))
+def test_extension_diskched_pinned_in_both_modes(fast):
+    """Whole-stack check of SSTF/C-SCAN disks: every discipline's
+    record matches the pinned values bit for bit, in both modes."""
+    set_fast_path_enabled(fast)
+    try:
+        rec = extension_diskched.run(scale=0.1, quiet=True)
+    finally:
+        set_fast_path_enabled(True)
+    assert rec == {disc: DISKCHED_ROW_0_1
+                   for disc in extension_diskched.DISCIPLINES}
 
 
 def test_extension_admission_tradeoff():

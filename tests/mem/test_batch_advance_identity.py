@@ -3,9 +3,9 @@
 Two execution modes exist (DESIGN.md "Execution cores"): the scalar
 oracle (``set_fast_path_enabled(False)``: every event dispatched through
 the heap, the historical per-chunk event structure) and the fast path
-(resident-run batching, callback-chained disk dispatch, fused fault CPU
-charges, and batch-advance — runs of same-type non-interacting events
-applied under a local clock).  Every simulation *output* must be
+(resident-run batching, fused fault CPU charges, and batch-advance —
+runs of same-type non-interacting events applied under a local
+clock).  Every simulation *output* must be
 bit-for-bit identical between the two, for every paper policy, at two
 workload scales.
 

@@ -41,7 +41,7 @@ MODULES = PACKAGES + [
     "repro.workloads.trace", "repro.workloads.analysis",
     "repro.metrics.collector", "repro.metrics.analysis",
     "repro.metrics.report", "repro.metrics.timeline",
-    "repro.metrics.fairness", "repro.metrics.gantt",
+    "repro.metrics.fairness",
     "repro.validation.analytic",
     "repro.experiments.runner", "repro.experiments.multi_seed",
     "repro.experiments.report_io",
