@@ -28,6 +28,9 @@ from repro.mem.vmm import VirtualMemoryManager
 from repro.obs.registry import NULL_OBS
 from repro.sim.engine import Interrupt, Process
 
+#: bursts' worth of queue entries one validation pass checks
+WINDOW_BURSTS = 16
+
 
 class OldestDirtyQueue:
     """Oldest-first ``(last_ref, page)`` queue of one table's
@@ -35,18 +38,26 @@ class OldestDirtyQueue:
 
     :meth:`refill` scans the table, sorts the dirty-resident pages by
     ``(last_ref, page)`` and resets ``table.dirty_low_water`` to
-    ``+inf``.  :meth:`pick` then walks the queue from its cursor,
-    keeping only entries still present, still dirty (or slotless) and
-    still carrying their queued key.  Any dirty-resident page the queue
-    does not hold that way has ``last_ref >= table.dirty_low_water`` (see
-    :mod:`repro.mem.page_table`), so a pick whose largest key is strictly
-    below the mark — or which exhausts the queue while the mark is still
-    ``+inf`` — equals the full-scan answer.  Scanned entries that failed
-    the check are dropped; picked ones stay, so pages a burst skipped
-    (demanded by a fault) are picked again first, as a fresh scan would.
+    ``+inf``.  An entry is *valid* while its page is still present, still
+    dirty (or slotless) and still carries its queued key.  Any
+    dirty-resident page the queue does not hold that way has
+    ``last_ref >= table.dirty_low_water`` (see :mod:`repro.mem.page_table`),
+    so a pick whose largest key is strictly below the mark — or which
+    exhausts the queue while the mark is still ``+inf`` — equals the
+    full-scan answer.
+
+    Validity is checked a window of :data:`WINDOW_BURSTS` bursts at a
+    time: one pass from the cursor drops the invalid entries and records
+    ``table.epoch``.  While the epoch stays put nothing in the table
+    changed, so :meth:`pick` serves the validated entries without
+    looking at the table again.  Picked entries stay at the cursor, so
+    pages a burst skipped (demanded by a fault) are picked again first,
+    as a fresh scan would; :meth:`consume` drops a burst the writer
+    proved it wrote whole with no other mutation of the table.
     """
 
-    __slots__ = ("table", "_pages", "_keys", "_cursor")
+    __slots__ = ("table", "_pages", "_keys", "_cursor", "_valid_end",
+                 "_epoch", "_picked")
 
     def __init__(self, table: PageTable) -> None:
         self.table = table
@@ -61,47 +72,71 @@ class OldestDirtyQueue:
         self._pages = dirty[order]
         self._keys = keys[order]
         self._cursor = 0
+        # every entry of a fresh scan is valid at the current epoch
+        self._valid_end = self._pages.size
+        self._epoch = t.epoch
+        self._picked = 0
         t.dirty_low_water = np.inf
 
     def pick(self, n: int) -> Optional[np.ndarray]:
         """The ``n`` oldest dirty-resident pages in ascending page order,
         or ``None`` when the queue cannot prove that answer exact."""
         t = self.table
+        if t.epoch != self._epoch or (
+                self._valid_end - self._cursor < n
+                and self._valid_end < self._pages.size):
+            self._validate(n)
+        cursor = self._cursor
+        hi = min(cursor + n, self._valid_end)
+        pick_p = self._pages[cursor:hi]
+        low = t.dirty_low_water
+        if hi > cursor and self._keys[hi - 1] >= low:
+            return None  # a page outside the queue may sort first
+        if pick_p.size < n and low != np.inf:
+            return None  # the queue ran dry; newer dirty pages may exist
+        self._picked = pick_p.size
+        return np.sort(pick_p)
+
+    def consume(self, epoch: int) -> None:
+        """Drop the last pick: the writer wrote all of it, and ``epoch``
+        is the table's epoch after that write, with no other mutation of
+        the table since the pick.  The entries behind it are still valid."""
+        self._cursor += self._picked
+        self._picked = 0
+        self._epoch = epoch
+
+    def _validate(self, n: int) -> None:
+        """Check the entries from the cursor against the table until
+        ``n`` valid ones (or the end of the queue) are found, a window at
+        a time, and keep only the valid ones."""
+        t = self.table
         present, dirty, slot, last_ref = (t.present, t.dirty, t.swap_slot,
                                           t.last_ref)
         pages, keys = self._pages, self._keys
         end = pages.size
         lo = self._cursor
-        span = 2 * n
-        need = n
-        taken = []  # queue indices of the valid entries, in queue order
+        span = WINDOW_BURSTS * n
+        found = 0
+        kept = []  # queue indices of the valid entries, in queue order
         while True:
             hi = min(end, lo + span)
             p = pages[lo:hi]
             ok = np.flatnonzero(present[p] & (dirty[p] | (slot[p] < 0))
-                                & (last_ref[p] == keys[lo:hi]))[:need]
-            if ok.size == need:
-                hi = lo + int(ok[-1]) + 1
-            taken.append(lo + ok)
-            need -= ok.size
+                                & (last_ref[p] == keys[lo:hi]))
+            kept.append(lo + ok)
+            found += ok.size
             lo = hi
-            if not need or lo >= end:
+            if found >= n or lo >= end:
                 break
             span *= 2
-        idx = taken[0] if len(taken) == 1 else np.concatenate(taken)
-        pick_p = pages[idx]
-        pick_k = keys[idx]
-        low = t.dirty_low_water
-        if pick_k.size and pick_k[-1] >= low:
-            return None  # a page outside the queue may sort first
-        if need and low != np.inf:
-            return None  # the queue ran dry; newer dirty pages may exist
-        # compact the scanned span [cursor, lo) down to the picked entries
-        cursor = lo - pick_p.size
-        pages[cursor:lo] = pick_p
-        keys[cursor:lo] = pick_k
+        idx = kept[0] if len(kept) == 1 else np.concatenate(kept)
+        # compact the checked span [cursor, lo) down to the valid entries
+        cursor = lo - idx.size
+        pages[cursor:lo] = pages[idx]
+        keys[cursor:lo] = keys[idx]
         self._cursor = cursor
-        return np.sort(pick_p)
+        self._valid_end = lo
+        self._epoch = t.epoch
 
 
 class BackgroundWriter:
@@ -200,13 +235,13 @@ class BackgroundWriter:
                 if burst.size == 0:
                     yield vmm.env.timeout(self.poll_s)
                     continue
-                # evict_batch drops pages evicted or demanded meanwhile
-                # and returns how many it wrote
-                written = yield from vmm.evict_batch(
-                    VictimBatch(pid, burst),
-                    priority=PRIO_BACKGROUND,
-                    keep_resident=True,
-                )
+                # clean_batch drops pages evicted or demanded meanwhile
+                # and returns how many it wrote, with the table's epoch
+                # when only this burst touched the table since the pick
+                written, epoch = yield from vmm.clean_batch(
+                    VictimBatch(pid, burst), PRIO_BACKGROUND, table.epoch)
+                if epoch is not None:
+                    queue.consume(epoch)
                 if not written:
                     # Every page was evicted or is demanded by a fault in
                     # flight.  Picking again at once would return the

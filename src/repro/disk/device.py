@@ -155,10 +155,14 @@ class DiskRequest(Event):
         super().__init__(disk.env)
         if op not in ("read", "write"):
             raise ValueError(f"op must be 'read' or 'write', got {op!r}")
+        # one conversion that always copies, so the in-place sort never
+        # reorders the caller's array
+        slots = np.array(slots, dtype=np.int64)
         if slots.size == 0:
             raise ValueError("empty slot list")
+        slots.sort()
         self.disk = disk
-        self.slots = np.sort(np.asarray(slots, dtype=np.int64))
+        self.slots = slots
         self.op = op
         self.priority = priority
         self.pid = pid
@@ -330,6 +334,9 @@ class Disk:
         self._queue: list[tuple[int, int, DiskRequest]] = []
         self._seq = 0
         self._busy = False
+        # an idle elevator's deferred first pick is scheduled but has not
+        # run: the disk is busy, yet nothing is in service
+        self._pick_pending = False
         # live (non-cancelled) queued requests, maintained incrementally
         # so submit() does not rescan the heap
         self._live = 0
@@ -378,7 +385,7 @@ class Disk:
         on the fast path, where it folds the per-group major-fault CPU
         charge into the trigger instead of a separate timeout event.
         """
-        req = DiskRequest(self, np.asarray(slots, dtype=np.int64), op, priority, pid)
+        req = DiskRequest(self, slots, op, priority, pid)
         req._extra_delay = extra_delay
         if not self._busy and self.discipline == "fifo":
             # idle FIFO disk (idle implies an empty queue): start service
@@ -393,7 +400,9 @@ class Disk:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (priority, seq, req))
-        depth = self._live + (1 if self._busy else 0)
+        # a request counts as in service only once a pick started it
+        depth = self._live + (
+            1 if self._busy and not self._pick_pending else 0)
         if depth > self.max_queue_seen:
             self.max_queue_seen = depth
         if not self._busy:
@@ -401,6 +410,7 @@ class Disk:
             # one zero-delay urgent event, so it chooses among every
             # request submitted at this instant
             self._busy = True
+            self._pick_pending = True
             pick = Event(self.env)
             pick._value = None
             pick.callbacks.append(self._dispatch_next)
@@ -585,6 +595,7 @@ class Disk:
     # backoff timeout before the retry) and then pops the next request.
 
     def _dispatch_next(self, _pick: Optional[Event] = None) -> None:
+        self._pick_pending = False
         req = self._pop_next()
         if req is None:
             self._busy = False

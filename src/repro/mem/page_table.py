@@ -33,13 +33,20 @@ trajectory.  Cached arrays are shared: callers treat them as read-only.
 view reads them, and the clock policies clear reference bits on every
 sweep.  State must therefore be mutated through the methods below (or
 followed by an explicit epoch bump), never by writing the arrays
-directly.
+directly; ``tests/mem/test_epoch_contract.py`` fails on any such write
+outside this module.
 
-The epoch cannot serve the §3.4 background writer: every burst it
-writes ends in :meth:`mark_clean`, so its view of the dirty set would
-never hit.  The writer instead keeps its own oldest-first queue of
-``(last_ref, page)`` keys and trusts it only while
-:attr:`PageTable.dirty_low_water` proves the queue's pick exact.  The
+The §3.4 background writer cannot use the cached dirty view: every
+burst it writes ends in :meth:`mark_clean`, so the view would never
+hit.  It keeps its own oldest-first queue of ``(last_ref, page)`` keys
+and uses the epoch for the burst window instead.  The queue validates
+several bursts' worth of entries at one epoch and serves picks from
+them while the epoch stands still.  A burst that finds the epoch
+unchanged at lock grant, and again at write completion apart from its
+own :meth:`assign_slots`, skips its re-validation and hands back the
+epoch after its :meth:`mark_clean`; the queue then keeps trusting the
+rest of the window.  Whether the queue's pick is exact is a separate
+question, answered by :attr:`PageTable.dirty_low_water`.  The
 *low-water mark* is the smallest ``last_ref`` any page carried when it
 entered the dirty-resident set (``present & (dirty | swap_slot < 0)``)
 or was re-stamped, since the writer last reset the mark to ``+inf``.

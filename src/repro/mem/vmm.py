@@ -11,8 +11,11 @@ mechanisms of :mod:`repro.core` use:
     Observes every page-out, in flush order (the adaptive page-in
     recorder, §3.3).
 ``evict_batch`` / ``reclaim``
-    Called directly by aggressive page-out (§3.2) and the background
-    writer (§3.4) to force page-outs outside the fault path.
+    Called directly by aggressive page-out (§3.2) to force page-outs
+    outside the fault path.
+``clean_batch``
+    Called only by the background writer (§3.4): writes a burst of
+    dirty pages and leaves them resident.
 
 All methods that perform disk I/O are generator *process fragments* to
 be driven with ``yield from`` inside a simulation process.
@@ -987,22 +990,9 @@ class VirtualMemoryManager:
             total += progress
         return total
 
-    def evict_batch(self, batch: VictimBatch,
-                    priority: int = PRIO_FOREGROUND,
-                    keep_resident: bool = False):
-        """Process fragment: write out / discard one victim batch.
-
-        Dirty pages (or pages with no swap copy yet) are written in a
-        single disk request; clean pages with valid swap copies are
-        discarded free of I/O.  With ``keep_resident=True`` the pages
-        stay in memory and only the dirty ones are cleaned — this is the
-        §3.4 background-writing mode.
-
-        Evictions are serialised VMM-wide; victims selected before the
-        lock wait are re-validated afterwards.  Returns the number of
-        pages actually evicted, or in keep-resident mode the number of
-        pages written and marked clean.
-        """
+    def _acquire_evict_lock(self):
+        """Process fragment: wait for the VMM-wide eviction lock and
+        return the granted request, which the caller must release."""
         lock = self._evict_lock.request()
         try:
             yield lock
@@ -1014,6 +1004,21 @@ class VirtualMemoryManager:
             # frees a granted one, so both states are safe here.
             self._evict_lock.release(lock)
             raise
+        return lock
+
+    def evict_batch(self, batch: VictimBatch,
+                    priority: int = PRIO_FOREGROUND):
+        """Process fragment: write out / discard one victim batch.
+
+        Dirty pages (or pages with no swap copy yet) are written in a
+        single disk request; clean pages with valid swap copies are
+        discarded free of I/O.
+
+        Evictions are serialised VMM-wide; victims selected before the
+        lock wait are re-validated afterwards.  Returns the number of
+        pages actually evicted.
+        """
+        lock = yield from self._acquire_evict_lock()
         try:
             table = self.tables.get(batch.pid)
             if table is None:
@@ -1054,11 +1059,6 @@ class VirtualMemoryManager:
                 self._c_pages_out.inc(to_write.size)
                 table.mark_clean(to_write)
 
-            if keep_resident:
-                # Background cleaning (§3.4): pages stay in memory, so
-                # this is not a flush and must not reach the recorder.
-                return int(to_write.size)
-
             if to_write.size:
                 # A fault service may have started demanding some of
                 # these pages while the write was in flight; they were
@@ -1084,6 +1084,74 @@ class VirtualMemoryManager:
             return int(pages.size)
         finally:
             self._evict_lock.release(lock)
+
+    def clean_batch(self, batch: VictimBatch, priority: int, epoch: int):
+        """Process fragment: one §3.4 background-writer burst.
+
+        Writes the batch's dirty (or slotless) pages in a single disk
+        request and marks them clean; the pages stay resident, so this
+        is not a flush and never reaches the recorder.  ``epoch`` is the
+        batch table's :attr:`~PageTable.epoch` when the writer picked the
+        batch, which proved every page present and dirty or slotless
+        (see :meth:`_burst_to_write`).
+
+        Returns ``(written, epoch)``: the pages written and marked clean,
+        and the table's epoch after :meth:`PageTable.mark_clean` — or
+        ``None`` for it unless the whole batch was written and nothing
+        but this burst mutated the table since the pick.  With an epoch,
+        the writer's queue may keep trusting what it validated beyond
+        the batch.
+        """
+        lock = yield from self._acquire_evict_lock()
+        try:
+            table = self.tables.get(batch.pid)
+            if table is None:
+                return 0, None  # process exited while we waited
+            pages, slots, proved = self._burst_to_write(table, batch, epoch)
+            if pages.size == 0:
+                return 0, None
+            no_slot = slots < 0
+            slotless = np.count_nonzero(no_slot)
+            if slotless:
+                new_slots = self.swap.allocate(slotless)
+                slots[no_slot] = new_slots
+                table.assign_slots(pages[no_slot], new_slots)
+            mine = table.epoch
+            yield self.disk.submit(slots, "write", priority, pid=batch.pid)
+            if batch.pid not in self.tables:
+                return 0, None  # process exited during the write
+            self.stats.pages_swapped_out += pages.size
+            self._c_pages_out.inc(pages.size)
+            proved = proved and table.epoch == mine
+            table.mark_clean(pages)
+            return int(pages.size), table.epoch if proved else None
+        finally:
+            self._evict_lock.release(lock)
+
+    def _burst_to_write(self, table: PageTable, batch: VictimBatch,
+                        epoch: int):
+        """``(pages, slots, proved)``: the burst pages to write now, their
+        current swap slots (a fresh array; ``-1`` where none) and whether
+        ``epoch`` still holds with no page dropped.
+
+        The present/dirty/slot re-validation runs only if ``table.epoch``
+        moved since the pick; pages demanded by an in-flight fault are
+        always dropped, because demand is not in the epoch.
+        """
+        pages = batch.pages
+        held = table.epoch == epoch
+        if not held:
+            pages = pages[table.present[pages]]
+        # count_nonzero: far cheaper than .any() on a burst this small
+        demanded = self._demand_counts[batch.pid][pages]
+        if np.count_nonzero(demanded):
+            pages = pages[demanded == 0]
+        slots = table.swap_slot[pages]
+        if not held:
+            needs_write = table.dirty[pages] | (slots < 0)
+            pages = pages[needs_write]
+            slots = slots[needs_write]
+        return pages, slots, held and pages.size == batch.pages.size
 
     # ------------------------------------------------------------------
     # helpers

@@ -33,8 +33,11 @@ class Request(Event):
 
     Fires (succeeds) when the slot is granted.  Also usable as a context
     manager so ``with resource.request() as req: yield req`` releases on
-    exit.
+    exit.  Carries ``__slots__`` like every other event class: every
+    eviction and background-writer burst makes one.
     """
+
+    __slots__ = ("resource", "priority", "granted", "cancelled")
 
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
         super().__init__(resource.env)

@@ -8,6 +8,11 @@ queue from the scan only when ``PageTable.dirty_low_water`` cannot prove
 the queue's pick exact.  The differential test checks every burst of
 randomly drawn runs, fault plans included; the unit tests drive each
 route by which a page can join the dirty set with an old key.
+
+The queue and the burst write also trust ``PageTable.epoch``: a window
+validated at one epoch serves picks while the epoch holds, and a burst
+that finds the epoch unchanged skips its re-validation.  The last unit
+tests land each kind of foreign mutation while a burst is in flight.
 """
 
 from contextlib import contextmanager
@@ -49,12 +54,24 @@ def writer_pick(queue, n):
 
 @contextmanager
 def checked_writer():
-    """Patch the writer so every pick is compared with :func:`scan_pick`.
+    """Patch the writer so every pick is compared with :func:`scan_pick`,
+    and every burst whose re-validation the epoch skipped with the pages
+    the full re-validation would write.
 
-    Yields a dict counting picks the queue proved exact (``"hits"``) and
-    refills.
+    Yields a dict counting picks the queue proved exact (``"hits"``),
+    refills and bursts written without re-validation (``"skipped"``).
     """
-    counts = {"hits": 0, "refills": 0}
+    counts = {"hits": 0, "refills": 0, "skipped": 0}
+    burst_to_write = VirtualMemoryManager._burst_to_write
+
+    def checked_burst_to_write(vmm, table, batch, epoch):
+        got = burst_to_write(vmm, table, batch, epoch)
+        if table.epoch == epoch:
+            counts["skipped"] += 1
+            full = burst_to_write(vmm, table, batch, None)
+            np.testing.assert_array_equal(got[0], full[0])
+            np.testing.assert_array_equal(got[1], full[1])
+        return got
 
     class CheckedQueue(OldestDirtyQueue):
         __slots__ = ()
@@ -71,7 +88,9 @@ def checked_writer():
                 np.testing.assert_array_equal(got, expected)
             return got
 
-    with patch.object(background, "OldestDirtyQueue", CheckedQueue):
+    with patch.object(background, "OldestDirtyQueue", CheckedQueue), \
+            patch.object(VirtualMemoryManager, "_burst_to_write",
+                         checked_burst_to_write):
         yield counts
 
 
@@ -131,6 +150,8 @@ def test_queue_serves_almost_every_burst(policy):
                                     scale=0.1, seed=1))
     assert counts["hits"] > 1000
     assert counts["refills"] * 20 < counts["hits"]
+    # the epoch spares nearly every burst its re-validation
+    assert counts["skipped"] * 10 > counts["hits"] * 9
 
 
 def test_fault_injected_runs_match_the_scan():
@@ -294,6 +315,27 @@ def dirty_pages(env, vmm, pid, pages):
     drive(env, vmm.touch(pid, pages, dirty=True))
 
 
+def write_burst(env, vmm, queue, burst, during=None):
+    """Write ``burst`` as the writer does, calling ``during(table)`` once
+    the writer waits on the disk or the lock.  Returns ``(written,
+    epoch)`` and consumes the burst if the epoch proof held."""
+    table = queue.table
+    out = {}
+
+    def writer():
+        out["result"] = yield from vmm.clean_batch(
+            VictimBatch(table.pid, burst), PRIO_BACKGROUND, table.epoch)
+    proc = env.process(writer())
+    if during is not None:
+        env.run(until=env.now + 1e-4)  # well inside one disk transfer
+        during(table)
+    env.run(until=proc)
+    written, epoch = out["result"]
+    if epoch is not None:
+        queue.consume(epoch)
+    return written, epoch
+
+
 def test_demanded_page_dropped_from_a_burst_is_picked_again_first():
     env, disk, vmm = make_node()
     t = vmm.register_process(1, 64)
@@ -302,15 +344,90 @@ def test_demanded_page_dropped_from_a_burst_is_picked_again_first():
     burst = q.pick(8)
     np.testing.assert_array_equal(burst, np.arange(8))
     vmm._demand_counts[1][3] += 1  # an in-flight fault wants page 3
-    written = drive(env, vmm.evict_batch(VictimBatch(1, burst),
-                                         priority=PRIO_BACKGROUND,
-                                         keep_resident=True))
+    written, epoch = write_burst(env, vmm, q, burst)
     assert written == 7
+    assert epoch is None  # not the whole burst: the queue keeps it
     assert t.dirty[3] and not t.dirty[[0, 1, 2, 4, 5, 6, 7]].any()
     vmm._demand_counts[1][3] -= 1
     burst = q.pick(8)  # no refill needed
     np.testing.assert_array_equal(burst, [3, 8, 9, 10, 11, 12, 13, 14])
     np.testing.assert_array_equal(burst, scan_pick(t, 8))
+
+
+# ---------------------------------------------------------------------------
+# the epoch proof: a foreign mutation while a burst write is in flight
+# ---------------------------------------------------------------------------
+
+def make_queued_node():
+    """32 dirty pages with distinct keys 0..31, every one in the queue."""
+    env, disk, vmm = make_node()
+    t = vmm.register_process(1, 64)
+    dirty_pages(env, vmm, 1, np.arange(32))
+    t.set_last_ref_values(np.arange(32), np.arange(32.0))
+    return env, disk, vmm, t, OldestDirtyQueue(t)
+
+
+def test_burst_with_no_foreign_mutation_is_consumed():
+    env, disk, vmm, t, q = make_queued_node()
+    written, epoch = write_burst(env, vmm, q, q.pick(8))
+    assert written == 8 and epoch == t.epoch
+    for start in (8, 16):
+        burst = q.pick(8)  # served from the validated window
+        np.testing.assert_array_equal(burst, np.arange(start, start + 8))
+        np.testing.assert_array_equal(burst, scan_pick(t, 8))
+        write_burst(env, vmm, q, burst)
+    vmm.check_invariants()
+
+
+def test_restamp_of_a_validated_unpicked_page_is_not_trusted():
+    env, disk, vmm, t, q = make_queued_node()
+    burst = q.pick(8)
+
+    def restamp(table):
+        assert disk.busy  # the burst is on the disk
+        table.record_access(np.array([9]), 100.0)  # page 9 moves last
+    written, epoch = write_burst(env, vmm, q, burst, restamp)
+    assert written == 8 and epoch is None
+    burst = q.pick(8)
+    np.testing.assert_array_equal(burst, [8, 10, 11, 12, 13, 14, 15, 16])
+    np.testing.assert_array_equal(burst, scan_pick(t, 8))
+
+
+def test_reclaim_evicting_queued_pages_is_not_trusted():
+    env, disk, vmm, t, q = make_queued_node()
+    burst = q.pick(8)
+    # a reclaim holds the eviction lock and evicts page 2 of the burst
+    # and page 9 behind it while the burst waits for the lock
+    env.process(vmm.evict_batch(VictimBatch(1, np.array([2, 9]))))
+
+    def reclaim_running(table):
+        assert vmm._evict_lock.in_use and table.present[[2, 9]].all()
+    written, epoch = write_burst(env, vmm, q, burst, reclaim_running)
+    assert not t.present[[2, 9]].any()
+    assert written == 7 and epoch is None  # page 2 is gone: not written
+    assert disk.total_pages["write"] == 2 + 7
+    burst = q.pick(8)
+    np.testing.assert_array_equal(burst, [8, 10, 11, 12, 13, 14, 15, 16])
+    np.testing.assert_array_equal(burst, scan_pick(t, 8))
+    vmm.check_invariants()
+
+
+def test_release_slots_on_a_burst_page_is_not_trusted():
+    env, disk, vmm, t, q = make_queued_node()
+    burst = q.pick(8)
+
+    def release(table):
+        assert disk.busy
+        # page 3 got its slot from the burst; without it the page is
+        # dirty-resident again once the write marks it clean
+        vmm.swap.free(table.release_slots(np.array([3])))
+    written, epoch = write_burst(env, vmm, q, burst, release)
+    assert written == 8 and epoch is None
+    assert t.swap_slot[3] < 0
+    burst = writer_pick(q, 8)
+    np.testing.assert_array_equal(burst, [3, 8, 9, 10, 11, 12, 13, 14])
+    np.testing.assert_array_equal(burst, scan_pick(t, 8))
+    vmm.check_invariants()
 
 
 def test_writer_counts_only_pages_written():

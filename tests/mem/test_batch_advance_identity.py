@@ -22,6 +22,10 @@ closed-system proof fails, batches split down to scalar dispatch, and
 the fault responses (retries, spikes, fallbacks) land identically.
 """
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,3 +240,29 @@ def test_disabling_fast_path_restores_event_stream():
     second = _run(cfg, False)
     assert first.events_processed == second.events_processed
     assert _signature(first) == _signature(second)
+
+
+def _perfbench_cases():
+    """``perfbench/cases.py``, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_reproduces_the_pinned_operating_point():
+    """The scalar oracle at the paper's operating point — perfbench's
+    ``npb_full_adaptive`` cell, LU.C on four nodes under ``so/ao/ai/bg``
+    at full scale — against the fast path's pinned fingerprint.  The
+    identity tests above stop at scale 0.1.  ``events_simulated`` is left
+    out: the oracle also dispatches the events the fast path deletes."""
+    cases = _perfbench_cases()
+    cfg = cases.CELL_CONFIGS["npb_full_adaptive"]
+    pinned = json.loads(
+        (Path(cases.__file__).parent / "pinned.json").read_text()
+    )["npb_full_adaptive"][str(cfg.seed)]
+    got = cases.cell_fingerprint(_run(cfg, False))
+    for key in ("makespan", "pages_read", "pages_written", "switch_count",
+                "vmm_stats"):
+        assert got[key] == pinned[key], key

@@ -219,7 +219,7 @@ def test_evict_batch_keep_resident_cleans_without_evicting():
     drive(env, vmm.touch(1, np.arange(10), dirty=True))
     from repro.mem.replacement import VictimBatch
 
-    drive(env, vmm.evict_batch(VictimBatch(1, np.arange(10)), keep_resident=True))
+    drive(env, vmm.clean_batch(VictimBatch(1, np.arange(10)), 0, t.epoch))
     assert t.resident_count == 10          # still in memory
     assert not t.dirty[:10].any()          # but clean now
     assert (t.swap_slot[:10] >= 0).all()   # with swap copies
