@@ -74,10 +74,12 @@ def test_fault_planning(benchmark):
     table.evict(pages)
 
     def run():
-        return len(plan_swapins(table, pages, window=16))
+        return plan_swapins(table, pages, window=16)
 
-    groups = benchmark(run)
-    assert groups > 1000
+    plan = benchmark(run)
+    assert len(plan) > 1000
+    assert plan.read.all()
+    assert plan.bounds[-1] >= pages.size
 
 
 def test_vmm_fault_path(benchmark):

@@ -191,7 +191,7 @@ class AdaptivePaging:
             return
         if recorded.size > cap:
             recorded = recorded[:cap]
-        groups = plan_block_reads(table, recorded, self.policy.ai_batch)
+        plan = plan_block_reads(table, recorded, self.policy.ai_batch)
         self._c_ai_runs.inc()
         self._c_ai_pages.inc(int(recorded.size))
         self._h_ai_run.observe(float(recorded.size))
@@ -202,7 +202,7 @@ class AdaptivePaging:
         entry = (in_pid, np.concatenate([resident, recorded]))
         self.vmm._add_demand(entry)
         try:
-            yield from self.vmm.swap_in_block(in_pid, groups)
+            yield from self.vmm.swap_in_block(in_pid, plan)
         finally:
             self.vmm._remove_demand(entry)
 

@@ -761,7 +761,6 @@ class Disk:
 
     def commit_eager_run(
         self,
-        slots_list: list,
         sizes: np.ndarray,
         durations: np.ndarray,
         seeks: np.ndarray,
@@ -770,22 +769,32 @@ class Disk:
         op: str,
         priority: int = PRIO_FOREGROUND,
         pid: Optional[int] = None,
+        *,
+        firsts: Optional[np.ndarray] = None,
+        slots_list: Optional[list] = None,
     ) -> None:
         """Apply the bookkeeping of a whole eager run in one pass.
 
-        ``starts``/``completions`` are the per-group service windows the
-        caller derived from :meth:`eager_run_times` (waiter-visible
+        ``starts``/``completions`` are the per-request service windows
+        the caller derived from :meth:`eager_run_times` (waiter-visible
         fused CPU charges excluded — the device frees at service
         completion, exactly as the dispatcher's deferred trigger does).
+        Request ``i`` moves ``sizes[i]`` pages: the contiguous slot run
+        ``[firsts[i], firsts[i] + sizes[i])``, or the sorted array
+        ``slots_list[i]`` when the run is fragmented.  Pass exactly one
+        of the two; per-request slot arrays are built only for the
+        per-request ``on_complete`` hook.
         """
-        n = len(slots_list)
+        n = sizes.size
         if self.max_queue_seen < 1:
             self.max_queue_seen = 1
         # strict left-fold accumulation: bit-identical to n scalar adds
         self.total_busy_s = float(np.add.accumulate(
             np.concatenate(([self.total_busy_s], durations)))[-1])
-        last = slots_list[-1]
-        self._head = int(last[-1]) + 1
+        if slots_list is None:
+            self._head = int(firsts[-1]) + int(sizes[-1])
+        else:
+            self._head = int(slots_list[-1][-1]) + 1
         self._last_op = op
         npages = int(sizes.sum())
         nseeks = int(seeks.sum())
@@ -808,6 +817,9 @@ class Disk:
             return
         hook = self.on_complete
         if hook is not None:
+            if slots_list is None:
+                slots_list = [np.arange(f, f + s) for f, s in
+                              zip(firsts.tolist(), sizes.tolist())]
             st = durations.tolist()
             sk = seeks.tolist()
             t0 = starts.tolist()

@@ -16,38 +16,60 @@ planner below turns the list of absent pages a phase is about to touch
 Keeping the plan in touch order preserves the interleaving between
 zero-fill and disk groups, which is what makes the baseline's scattered
 page-in bursts visible in the Figure 6 traces.
+
+Both planners return one :class:`ReadPlan`: flat arrays indexed by
+group number, so a plan of thousands of groups costs a handful of
+numpy arrays rather than one Python object per group.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.mem.page_table import PageTable
 
 
-@dataclass
-class FaultGroup:
-    """One planned fault service: a set of pages made resident together."""
+class ReadPlan:
+    """Planned fault groups in array form.
 
-    pages: np.ndarray          # ascending page numbers
-    slots: Optional[np.ndarray]  # matching swap slots, or None for zero-fill
-    #: the slot *set* is one consecutive run [slot0, slot0+count) — an
-    #: exact judgement the planner makes for free from its slot-sorted
-    #: view (``slots`` itself is in page order, where a span test alone
-    #: is unsound); batch-advance keys its bulk commits on it
-    contig: bool = False
-    slot0: int = -1            # first slot of the run when contig
+    Group ``k`` is ``pages[bounds[k]:bounds[k + 1]]``, ascending, with
+    its swap slots at the same positions of ``slots`` (``-1`` for a
+    zero-fill page).  Per group:
 
-    @property
-    def is_zero_fill(self) -> bool:
-        return self.slots is None
+    ``read``
+        served from swap (``False`` for a zero-fill group);
+    ``contig``
+        the group's slot *set* is one consecutive run
+        ``[slot0, slot0 + size)`` — judged exactly on the slot-sorted
+        view (``slots`` is in page order, where a span test alone is
+        unsound); batch-advance keys its bulk commits on it;
+    ``slot0``
+        the group's lowest slot (``-1`` for zero-fill).
 
-    @property
-    def count(self) -> int:
-        return int(self.pages.size)
+    Groups are pairwise disjoint.  The arrays are never mutated after
+    planning, so consumers may hand out views of them.
+    """
+
+    __slots__ = ("pages", "slots", "bounds", "read", "contig", "slot0")
+
+    def __init__(self, pages: np.ndarray, slots: np.ndarray,
+                 bounds: np.ndarray, read: np.ndarray, contig: np.ndarray,
+                 slot0: np.ndarray) -> None:
+        self.pages = pages
+        self.slots = slots
+        self.bounds = bounds
+        self.read = read
+        self.contig = contig
+        self.slot0 = slot0
+
+    def __len__(self) -> int:
+        return self.read.size
+
+    @classmethod
+    def empty(cls) -> "ReadPlan":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, np.zeros(1, dtype=np.int64),
+                   np.empty(0, dtype=bool), np.empty(0, dtype=bool), none)
 
 
 def dedupe_preserve_order(pages: np.ndarray) -> np.ndarray:
@@ -65,7 +87,7 @@ def dedupe_preserve_order(pages: np.ndarray) -> np.ndarray:
 
 def plan_swapins(
     table: PageTable, demand: np.ndarray, window: int
-) -> list[FaultGroup]:
+) -> ReadPlan:
     """Plan fault groups for ``demand`` (absent pages in touch order).
 
     Parameters
@@ -80,14 +102,15 @@ def plan_swapins(
 
     Returns
     -------
-    Groups in touch order.  Groups are pairwise disjoint; their union
-    covers ``demand`` and possibly extra read-ahead pages.
+    A :class:`ReadPlan` with its groups in touch order.  Groups are
+    pairwise disjoint; their union covers ``demand`` and possibly extra
+    read-ahead pages.
     """
     if window <= 0:
         raise ValueError("read-ahead window must be positive")
     demand = dedupe_preserve_order(demand)
     if demand.size == 0:
-        return []
+        return ReadPlan.empty()
     if table.present[demand].any():
         raise ValueError("plan_swapins expects only absent pages")
 
@@ -96,7 +119,10 @@ def plan_swapins(
     # rest are never-touched pages that are zero-filled.
     swap_pos = np.flatnonzero(demand_slots >= 0)
     if swap_pos.size == 0:
-        return [FaultGroup(np.sort(demand), None)]
+        return ReadPlan(np.sort(demand), np.full(demand.size, -1),
+                        np.array([0, demand.size], dtype=np.int64),
+                        np.zeros(1, dtype=bool), np.zeros(1, dtype=bool),
+                        np.full(1, -1, dtype=np.int64))
     swap_slots = demand_slots[swap_pos]
     zero_pages = demand[demand_slots < 0]
 
@@ -118,65 +144,98 @@ def plan_swapins(
     order = np.argsort(sw_slots)
     sw_slots = sw_slots[order]
     sw_pages = swapped[order]
-    # The per-page window bounds are independent of planning order,
-    # so they are batched into two searchsorted calls up front
-    # instead of two numpy calls per faulted page.
+    # Every swap-backed demand page sits in the slot map exactly once
+    # (slots are unique), at index ``los[i]``; its window is the index
+    # range [los[i], his[i]).
     los = np.searchsorted(sw_slots, swap_slots, side="left")
     his = np.searchsorted(sw_slots, swap_slots + window, side="left")
-    # Zero-fill pages touched before the k-th swap-backed page: the
-    # zero-fill run between two group leaders is one sorted group.
-    zeros_before = swap_pos - np.arange(swap_pos.size)
 
-    # When the slot map is page-ascending (slots were handed out in
-    # page order — the common case), every window slice is already
-    # sorted by page and the per-group argsort is skipped.
-    page_asc = sw_pages.size < 2 or bool((np.diff(sw_pages) > 0).all())
+    # Jump table: the demand positions cut into runs along which the
+    # slot index steps by one, so run r holds slot indices
+    # [run_lo[r], run_hi[r]) from position run_pos[r] on.  Inside a run
+    # the loop moves in slot-index space: a leader's window covers the
+    # run up to its own end, and a stretch already covered ends at the
+    # first uncovered index, so either is skipped in one step.
+    n = los.size
+    run_pos = np.flatnonzero(np.diff(los, prepend=-2) != 1)
+    run_lo = los[run_pos]
+    run_hi = run_lo + np.diff(run_pos, append=n)
 
-    # Planned-state bookkeeping lives in *slot-index* space: every
-    # swap-backed demand page appears exactly once in the sorted slot
-    # map (slots are unique), at position ``los[i]`` (its own slot is
-    # the first >= itself).  A bytearray over the map gives C-speed
-    # scalar skip tests and slice coverage marks.  Only swap-backed
-    # pages are visited: windows never absorb zero-fill pages.
-    covered = bytearray(len(sw_pages))
-    slot_list = sw_slots.tolist()
-    groups: list[FaultGroup] = []
-    zero_done = 0
-    for lo, hi, z in zip(los.tolist(), his.tolist(), zeros_before.tolist()):
-        if covered[lo]:
-            continue
-        if z > zero_done:
-            groups.append(FaultGroup(np.sort(zero_pages[zero_done:z]), None))
-            zero_done = z
-        # Read-ahead: all absent pages with slots in [slot, slot+window).
-        cand_pages = sw_pages[lo:hi]
-        cand_slots = sw_slots[lo:hi]
-        # the contiguity test is judged on the slot-sorted candidates,
-        # where the span test is exact; the first one is never covered
-        first = slot_list[lo]
-        span = covered[lo:hi]
-        if 1 in span:
-            keep = np.frombuffer(span, dtype=np.uint8) == 0
-            cand_pages = cand_pages[keep]
-            cand_slots = cand_slots[keep]
-            contig = int(cand_slots[-1]) - first == cand_slots.size - 1
-        else:
-            contig = slot_list[hi - 1] - first == hi - lo - 1
-        covered[lo:hi] = b"\x01" * (hi - lo)
-        if not page_asc:
-            idx = cand_pages.argsort()
-            cand_pages = cand_pages[idx]
-            cand_slots = cand_slots[idx]
-        groups.append(FaultGroup(cand_pages, cand_slots, contig, first))
+    # The leader loop: the first uncovered demand page in touch order
+    # opens a group and covers its whole window.  Coverage lives in
+    # slot-index space, where a bytearray gives C-speed scalar tests,
+    # searches and slice marks; the loop sees Python ints only.
+    covered = bytearray(sw_pages.size)
+    leaders = []
+    for pos, x, end in zip(run_pos.tolist(), run_lo.tolist(),
+                           run_hi.tolist()):
+        base = pos - x  # slot index x is demand position base + x
+        while x < end:
+            if covered[x]:
+                x = covered.find(0, x, end)
+                if x < 0:
+                    break
+            hi = his.item(base + x)
+            leaders.append(base + x)
+            covered[x:hi] = b"\x01" * (hi - x)
+            x = hi
 
-    if zero_done < zero_pages.size:
-        groups.append(FaultGroup(np.sort(zero_pages[zero_done:]), None))
-    return groups
+    # Gather every leader window at once, in leader order.
+    leaders = np.array(leaders, dtype=np.int64)
+    g_lo = los[leaders]
+    width = his[leaders] - g_lo
+    offsets = np.zeros(leaders.size + 1, dtype=np.int64)
+    np.cumsum(width, out=offsets[1:])
+    idx = np.arange(offsets[-1]) + np.repeat(g_lo - offsets[:-1], width)
+    if offsets[-1] > covered.count(1):
+        # some window overlaps an earlier group's: every slot-map entry
+        # stays only in the first group (in leader order) that claims it
+        gid = np.repeat(np.arange(leaders.size), width)
+        owner = np.full(sw_pages.size, leaders.size)
+        np.minimum.at(owner, idx, gid)
+        keep = owner[idx] == gid
+        idx = idx[keep]
+        counts = np.bincount(gid[keep], minlength=leaders.size)
+        np.cumsum(counts, out=offsets[1:])
+    else:
+        counts = width
+    # contiguity on the slot-sorted view: the leader's own slot is the
+    # group's lowest, its last kept entry the highest
+    slot0 = sw_slots[g_lo]
+    contig = sw_slots[idx[offsets[1:] - 1]] - slot0 == counts - 1
+
+    # Zero-fill pages touched before leader k form one group just ahead
+    # of it (when there are any); the rest form a trailing group.
+    zeros_before = swap_pos[leaders] - leaders
+    zero_counts = np.diff(zeros_before, prepend=0, append=zero_pages.size)
+    read_seg = np.arange(leaders.size) + np.cumsum(zero_counts[:-1] > 0)
+    ngroups = int(read_seg[-1]) + 1 + int(zero_counts[-1] > 0)
+    zero_seg = np.repeat(np.append(read_seg - 1, ngroups - 1), zero_counts)
+
+    # One sort by (group, page) orders every group's pages ascending and
+    # interleaves the zero-fill groups; slots are read back from the
+    # table (-1 for the zero-fill pages).
+    seg = np.concatenate((np.repeat(read_seg, counts), zero_seg))
+    bounds = np.zeros(ngroups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(seg, minlength=ngroups), out=bounds[1:])
+    span = table.num_pages
+    key = seg * span
+    key += np.concatenate((sw_pages[idx], zero_pages))
+    key.sort()
+    pages = key % span
+    read = np.zeros(ngroups, dtype=bool)
+    read[read_seg] = True
+    group_contig = np.zeros(ngroups, dtype=bool)
+    group_contig[read_seg] = contig
+    group_slot0 = np.full(ngroups, -1, dtype=np.int64)
+    group_slot0[read_seg] = slot0
+    return ReadPlan(pages, table.swap_slot[pages], bounds, read,
+                    group_contig, group_slot0)
 
 
 def plan_block_reads(
     table: PageTable, pages: np.ndarray, max_batch: int
-) -> list[FaultGroup]:
+) -> ReadPlan:
     """Plan large block swap-ins for an explicit page list.
 
     Used by adaptive page-in (§3.3): ``pages`` is the recorded flush
@@ -188,28 +247,27 @@ def plan_block_reads(
         raise ValueError("max_batch must be positive")
     pages = dedupe_preserve_order(pages)
     if pages.size == 0:
-        return []
+        return ReadPlan.empty()
     mask = (~table.present[pages]) & (table.swap_slot[pages] >= 0)
     pages = pages[mask]
     if pages.size == 0:
-        return []
+        return ReadPlan.empty()
     slots = table.swap_slot[pages]
     order = np.argsort(slots, kind="stable")
     pages = pages[order]
     slots = slots[order]
-    groups = []
-    for i in range(0, pages.size, max_batch):
-        p = pages[i : i + max_batch]
-        s = slots[i : i + max_batch]
-        first = int(s[0])
-        contig = int(s[-1]) - first == s.size - 1
-        idx = np.argsort(p)
-        groups.append(FaultGroup(p[idx], s[idx], contig, first))
-    return groups
+    n = pages.size
+    bounds = np.append(np.arange(0, n, max_batch), n)
+    slot0 = slots[bounds[:-1]]
+    contig = slots[bounds[1:] - 1] - slot0 == np.diff(bounds) - 1
+    # pages ascending within each batch
+    order = np.lexsort((pages, np.arange(n) // max_batch))
+    return ReadPlan(pages[order], slots[order], bounds,
+                    np.ones(slot0.size, dtype=bool), contig, slot0)
 
 
 __all__ = [
-    "FaultGroup",
+    "ReadPlan",
     "dedupe_preserve_order",
     "plan_block_reads",
     "plan_swapins",

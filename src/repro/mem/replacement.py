@@ -86,12 +86,21 @@ class ReplacementPolicy:
         aligned: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Filter protected pages out of ``pages`` (and an aligned
-        companion array), without scanning the full address space."""
+        companion array), without scanning the full address space.
+        When no candidate is protected both arrays come back untouched.
+
+        The mask is allocated per call on purpose: a scratch mask kept
+        across calls has to be reset by a second scatter of the
+        protected pages, which costs more than allocating a fresh
+        zeroed one."""
         if not protect or table.pid not in protect or pages.size == 0:
             return pages, aligned
         mask = np.zeros(table.num_pages, dtype=bool)
         mask[np.asarray(protect[table.pid], dtype=np.int64)] = True
-        keep = ~mask[pages]
+        hit = mask[pages]
+        if not hit.any():
+            return pages, aligned
+        keep = ~hit
         return pages[keep], (aligned[keep] if aligned is not None else None)
 
     @staticmethod

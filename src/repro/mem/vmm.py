@@ -304,13 +304,13 @@ class VirtualMemoryManager:
                 absent = pages[~table.present[pages]]
                 if absent.size == 0:
                     break
-                groups = plan_swapins_fused(
+                plan = plan_swapins_fused(
                     table, absent, self.params.readahead_pages
                 )
                 done = 0
                 if self._eager_entry_ok():
                     done, t_end, efilled, exc = self._advance_eager(
-                        table, pid, groups
+                        table, pid, plan
                     )
                     if self._obs_on:
                         filled += efilled
@@ -322,22 +322,24 @@ class VirtualMemoryManager:
                         yield self.env.timeout_at(t_end)
                     if exc is not None:
                         raise exc
-                for group in groups[done:]:
+                bounds = plan.bounds.tolist()
+                read = plan.read.tolist()
+                for k in range(done, len(read)):
+                    a, b = bounds[k], bounds[k + 1]
+                    gpages = plan.pages[a:b]
+                    gslots = plan.slots[a:b] if read[k] else None
                     # a group page may have been brought in meanwhile;
                     # when none was (the overwhelmingly common case) the
-                    # planned arrays are used as-is, skipping the mask
+                    # planned views are used as-is, skipping the mask
                     # inversion and two fancy-index copies
-                    gpages = group.pages
                     pres = table.present[gpages]
                     if pres.any():
                         mask = ~pres
                         gpages = gpages[mask]
                         if gpages.size == 0:
                             continue
-                        gslots = group.slots[mask] \
-                            if group.slots is not None else None
-                    else:
-                        gslots = group.slots
+                        if gslots is not None:
+                            gslots = gslots[mask]
                     # inline guard: _ensure_frames returns without
                     # yielding when the watermark already holds, so
                     # replicating its first check here skips a generator
@@ -432,8 +434,9 @@ class VirtualMemoryManager:
         bg = dl.bgwriter
         return bg is None or not bg.active
 
-    def _advance_eager(self, table, pid: int, groups):
-        """Apply a prefix of ``groups`` synchronously with a local clock.
+    def _advance_eager(self, table, pid: int, plan):
+        """Apply a prefix of ``plan``'s groups synchronously with a local
+        clock.
 
         Replays, op for op, what the scalar loop in :meth:`touch` would
         have committed — same service times, statistics, telemetry and
@@ -461,93 +464,91 @@ class VirtualMemoryManager:
         filled = 0
         if not t < deadline:
             return 0, t, 0, None
-        n = len(groups)
+        bounds = plan.bounds.tolist()
+        read = plan.read.tolist()
+        n = len(read)
         while done < n:
-            group = groups[done]
-            gpages = group.pages
+            size = bounds[done + 1] - bounds[done]
             # the scalar loop's per-group presence recheck is skipped:
             # plan groups are pairwise disjoint and nothing else can
             # make pages resident inside a closed eager pass
-            if frames.free < gpages.size or frames.below_min(gpages.size):
+            if frames.free < size or frames.below_min(size):
                 try:
-                    ok, t = self._eager_ensure(gpages.size, t, deadline)
+                    ok, t = self._eager_ensure(size, t, deadline)
                 except OutOfFramesError as exc:
                     return done, t, filled, exc
                 if not ok:
                     break
-            if group.slots is not None:
+            if read[done]:
                 ngroups, t, npages = self._eager_read_run(
-                    table, pid, groups, done, t, deadline
+                    table, pid, plan, done, t, deadline
                 )
                 if not ngroups:
                     break
                 done += ngroups
                 filled += npages
                 continue
-            delay = gpages.size * params.minor_fault_s
+            delay = size * params.minor_fault_s
             t2 = t + delay
             if delay > 0 and not t2 < deadline:
                 break
-            frames.allocate(gpages.size)
-            self.stats.minor_faults += gpages.size
-            self._c_minor.inc(gpages.size)
+            frames.allocate(size)
+            self.stats.minor_faults += size
+            self._c_minor.inc(size)
             if delay > 0:
                 t = t2
                 env.events_absorbed += 1
+            gpages = plan.pages[bounds[done]:bounds[done + 1]]
             table.make_resident(gpages)
             table.set_last_ref(gpages, t)
             done += 1
         return done, t, filled, None
 
-    def _eager_read_run(self, table, pid: int, groups, start: int,
+    def _eager_read_run(self, table, pid: int, plan, start: int,
                         t: float, deadline: float):
         """Vectorized commit of a run of read groups.
 
-        Takes the read groups from ``groups[start:]`` up to the first
+        Takes ``plan``'s read groups from ``start`` up to the first
         zero-fill group or the first group whose frames would breach
         ``freepages.min`` (the caller has already made room for the
-        first one), so the scan visits at most one group it does not
-        commit.  All-contiguous runs are priced by the chained head
-        model of :meth:`~repro.disk.device.Disk.eager_run_times`,
-        others by the general walk of
+        first one); the plan's ``bounds`` are the running page count,
+        so one ``searchsorted`` finds that cut.  All-contiguous runs
+        are priced by the chained head model of
+        :meth:`~repro.disk.device.Disk.eager_run_times` from the groups'
+        ``slot0``, others by the general walk of
         :meth:`~repro.disk.device.Disk.eager_times_list`.  The prefix
         whose waiter-visible completions all land strictly before
         ``deadline`` is applied with array operations: one accumulate
         for the exact event times, one frame allocation, bulk
-        page-state flips, a vectorized refault gather and a bulk disk
-        commit.  Returns ``(ngroups, t_end, npages)``; ``ngroups`` is 0
-        when the first group cannot finish before ``deadline``.
+        page-state flips over one slice of the plan's pages, a
+        vectorized refault gather and a bulk disk commit.  Returns
+        ``(ngroups, t_end, npages)``; ``ngroups`` is 0 when the first
+        group cannot finish before ``deadline``.
         """
         params = self.params
-        g = groups[start]
-        run = [g]
-        sizes = [g.pages.size]
-        room = self.frames.free - params.freepages_min - sizes[0]
-        contig = g.contig
-        k = start + 1
-        n = len(groups)
-        while k < n:
-            g = groups[k]
-            size = g.pages.size
-            if g.slots is None or size > room:
-                break
-            run.append(g)
-            sizes.append(size)
-            room -= size
-            contig = contig and g.contig
-            k += 1
-        sizes = np.array(sizes, dtype=np.int64)
+        bounds = plan.bounds
+        first = int(bounds[start])
+        room = self.frames.free - params.freepages_min
+        end = max(start + 1, int(np.searchsorted(
+            bounds, first + room, side="right")) - 1)
+        read = plan.read[start + 1:end]
+        if not read.all():
+            end = start + 1 + int(read.argmin())
+        sizes = np.diff(bounds[start:end + 1])
         # planner-certified set contiguity: group slots are in page
         # order, where a span test alone is unsound (a permutation like
         # [2, 1, 6, 5] passes it while covering two disk runs)
+        contig = bool(plan.contig[start:end].all())
         if contig:
-            firsts = np.array([g.slot0 for g in run], dtype=np.int64)
+            firsts = plan.slot0[start:end]
             durations, seeks = self.disk.eager_run_times(
                 firsts, sizes, "read")
         else:
             # the device services the sorted slot set (scalar requests
             # sort on submission)
-            slots_list = [np.sort(g.slots) for g in run]
+            cuts = bounds[start:end + 1].tolist()
+            slots_list = [np.sort(plan.slots[a:b])
+                          for a, b in zip(cuts[:-1], cuts[1:])]
             durations, seeks = self.disk.eager_times_list(
                 slots_list, "read")
         # exact event times by strict left-fold: acc interleaves each
@@ -567,13 +568,8 @@ class VirtualMemoryManager:
         sizes = sizes[:m]
         t_c = acc[1:2 * m:2]
         waiters = waiters[:m]
-        if contig:
-            # a contiguous set's sorted form is its arange, regardless
-            # of the group's page-order shuffle
-            slots_list = [np.arange(f, f + s) for f, s in
-                          zip(firsts[:m].tolist(), sizes.tolist())]
-        all_pages = np.concatenate([g.pages for g in run[:m]])
-        total = int(sizes.sum())
+        all_pages = plan.pages[first:int(bounds[start + m])]
+        total = all_pages.size
         self.frames.allocate(total)
         self.stats.major_faults += m
         self.stats.pages_swapped_in += total
@@ -587,8 +583,10 @@ class VirtualMemoryManager:
             if nref:
                 self._c_refaults.inc(nref)
         self.disk.commit_eager_run(
-            slots_list[:m], sizes, durations[:m], seeks[:m],
-            acc[0:2 * m:2], t_c, "read", PRIO_FOREGROUND, pid=pid,
+            sizes, durations[:m], seeks[:m], acc[0:2 * m:2], t_c, "read",
+            PRIO_FOREGROUND, pid=pid,
+            firsts=firsts[:m] if contig else None,
+            slots_list=None if contig else slots_list[:m],
         )
         table.make_resident(all_pages)
         table.set_last_ref_values(all_pages, np.repeat(waiters, sizes))
@@ -753,8 +751,7 @@ class VirtualMemoryManager:
             mins = np.minimum.reduceat(w_slots, seg_starts)
             maxs = np.maximum.reduceat(w_slots, seg_starts)
             if bool(((maxs - mins) == sz - 1).all()):
-                slots_list = [np.arange(m, m + s)
-                              for m, s in zip(mins.tolist(), sz.tolist())]
+                firsts, slots_list = mins, None
                 durations, seeks = self.disk.eager_run_times(
                     mins, sz, "write")
             else:
@@ -762,15 +759,16 @@ class VirtualMemoryManager:
                 # the general head model instead (sorted segments, one
                 # per write batch — write-free batches are empty)
                 bounds = np.append(seg_starts, w_slots.size).tolist()
+                firsts = None
                 slots_list = [np.sort(w_slots[a:b])
                               for a, b in zip(bounds[:-1], bounds[1:])]
                 durations, seeks = self.disk.eager_times_list(
                     slots_list, "write")
             acc = np.add.accumulate(np.concatenate(([t], durations)))
             self.disk.commit_eager_run(
-                slots_list,
                 sz, durations, seeks, acc[:-1], acc[1:], "write",
                 PRIO_FOREGROUND, pid=pid,
+                firsts=firsts, slots_list=slots_list,
             )
             w_total = int(sz.sum())
             self.stats.pages_swapped_out += w_total
@@ -800,10 +798,10 @@ class VirtualMemoryManager:
         self.frames.release(total)
         return total, t
 
-    def swap_in_block(self, pid: int, groups):
+    def swap_in_block(self, pid: int, plan):
         """Process fragment: service pre-planned block swap-ins.
 
-        Used by adaptive page-in (§3.3): ``groups`` comes from
+        Used by adaptive page-in (§3.3): ``plan`` comes from
         :func:`repro.mem.readahead.plan_block_reads`.  The paper induces
         *faults* for the recorded pages, so each page counts as
         referenced at page-in time (otherwise an LRU baseline would
@@ -811,13 +809,14 @@ class VirtualMemoryManager:
         them right back out).
         """
         table = self.tables[pid]
-        for group in groups:
+        bounds = plan.bounds.tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
             # Skip pages that became resident since planning.
-            mask = ~table.present[group.pages]
-            pages = group.pages[mask]
+            mask = ~table.present[plan.pages[a:b]]
+            pages = plan.pages[a:b][mask]
             if pages.size == 0:
                 continue
-            slots = group.slots[mask]
+            slots = plan.slots[a:b][mask]
             entry = (pid, pages)
             self._add_demand(entry)
             allocated = False

@@ -161,11 +161,11 @@ def test_fragmented_read_runs_identical(monkeypatch):
     shapes = []
     commit = VirtualMemoryManager._eager_read_run
 
-    def spy(self, table, pid, groups, start, t, deadline):
-        out = commit(self, table, pid, groups, start, t, deadline)
-        run = groups[start:start + out[0]]
-        if run:
-            shapes.append((len(run), all(g.contig for g in run)))
+    def spy(self, table, pid, plan, start, t, deadline):
+        out = commit(self, table, pid, plan, start, t, deadline)
+        run = plan.contig[start:start + out[0]]
+        if run.size:
+            shapes.append((run.size, bool(run.all())))
         return out
 
     monkeypatch.setattr(VirtualMemoryManager, "_eager_read_run", spy)
