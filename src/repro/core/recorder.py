@@ -44,16 +44,18 @@ def compress_runs(pages: np.ndarray) -> list[PageRun]:
 
     Input order within the array is not meaningful for a single flush
     batch (the batch is written as one I/O); runs are emitted in
-    ascending base order.
+    ascending base order.  Duplicates count once: after the sort, a
+    run breaks only where a neighbour is more than one page above the
+    page before it, and its count is its last page minus its base plus
+    one.
     """
-    arr = np.unique(np.asarray(pages, dtype=np.int64))
+    arr = np.sort(np.asarray(pages, dtype=np.int64))
     if arr.size == 0:
         return []
-    breaks = np.flatnonzero(np.diff(arr) != 1) + 1
-    return [
-        PageRun(int(run[0]), int(run.size))
-        for run in np.split(arr, breaks)
-    ]
+    cuts = np.flatnonzero(arr[1:] - arr[:-1] > 1)
+    firsts = [int(arr[0])] + arr[cuts + 1].tolist()
+    lasts = arr[cuts].tolist() + [int(arr[-1])]
+    return [PageRun(b, e - b + 1) for b, e in zip(firsts, lasts)]
 
 
 class PageRecorder:

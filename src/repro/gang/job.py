@@ -66,13 +66,15 @@ class JobProcess:
         try:
             while True:
                 if pending:
-                    phase, pages, dirty = pending.popleft()
+                    phase, pages, dirty, index, flag = pending.popleft()
                 else:
                     try:
                         phase = next(phases)
                     except StopIteration:
                         break
-                    pages, dirty = expand_phase(phase)
+                    pages, dirty, index, flag = expand_phase(
+                        phase, indexed=True
+                    )
                 yield from control.wait_runnable()
                 if _fastpath.ENABLED:
                     # one residency probe decides everything: a fully-
@@ -80,7 +82,7 @@ class JobProcess:
                     # (batched or single-chunk), a faulting one falls
                     # straight through to the generator fault path
                     ran = yield from self._resident_run(
-                        phase, pages, dirty, phases, pending
+                        (phase, pages, dirty, index, flag), phases, pending
                     )
                     if ran:
                         continue
@@ -109,10 +111,13 @@ class JobProcess:
             ap.recorder.clear(self.pid)
         self.job._rank_done(self)
 
-    def _resident_run(self, phase, pages, dirty, phases, pending):
+    def _resident_run(self, chunk, phases, pending):
         """Process fragment: try to execute a coalesced resident run.
 
-        Starting from ``(phase, pages, dirty)``, greedily accumulates
+        ``chunk`` is ``(phase, pages, dirty, index, flag)``: the phase
+        and its ``expand_phase(phase, indexed=True)`` entry, whose
+        ``index`` and ``flag`` serve the residency probe and the stamps.
+        Starting from ``chunk``, greedily accumulates
         consecutive fully-resident chunks and burns their summed CPU
         time in **one** timeout, then applies the page-reference stamps
         the per-chunk path would have written (same per-chunk start
@@ -149,11 +154,12 @@ class JobProcess:
         control = self.control
         barrier = self.job.barrier
 
+        phase, pages, _dirty, index, flag = chunk
         table = vmm.tables[self.pid]
         if pages.size:
             if (pages.size > vmm.params.total_frames
                     - vmm.params.freepages_high
-                    or not table.present[pages].all()):
+                    or not table.present[index].all()):
                 # oversized chunks fall through so ``touch`` raises its
                 # informative error exactly as the per-chunk path would
                 return False
@@ -173,13 +179,13 @@ class JobProcess:
         if not batch:
             # single-chunk immediate path (always legacy-identical)
             if pages.size:
-                table.record_access(pages, t0, dirty)
+                table.record_access_runs([(index, t0, flag)])
             if phase.cpu_s > 0:
                 yield from control.cpu(phase.cpu_s * slowdown)
             if phase.barrier and barrier is not None:
                 yield from barrier.wait(self.rank, payload_s=phase.comm_s)
             return True
-        chunks = [(phase, pages, dirty)]
+        chunks = [chunk]
         starts = [t0]
         durs = [d0]
         # extend the run while the next chunk is fully resident and its
@@ -192,17 +198,17 @@ class JobProcess:
                         p2 = next(phases)
                     except StopIteration:
                         break
-                    pg2, dt2 = expand_phase(p2)
-                    pending.append((p2, pg2, dt2))
-                p2, pg2, dt2 = pending[0]
+                    pending.append((p2, *expand_phase(p2, indexed=True)))
+                nxt = pending[0]
+                p2, pg2, _dt2, ix2, _fl2 = nxt
                 d2 = p2.cpu_s * slowdown
                 t2 = t + d2
                 if not t2 < deadline:
                     break
-                if pg2.size and not table.present[pg2].all():
+                if pg2.size and not table.present[ix2].all():
                     break
                 pending.popleft()
-                chunks.append((p2, pg2, dt2))
+                chunks.append(nxt)
                 starts.append(t)
                 durs.append(d2)
                 t = t2
@@ -220,8 +226,9 @@ class JobProcess:
             for d in durs:
                 if d > 0:
                     control.cpu_consumed_s += d
-            runs = [(pg, starts[k], dt)
-                    for k, (_p, pg, dt) in enumerate(chunks) if pg.size]
+            runs = [(ix, starts[k], fl)
+                    for k, (_p, pg, _d, ix, fl) in enumerate(chunks)
+                    if pg.size]
             if runs:
                 table.record_access_runs(runs)
             last = chunks[-1][0]
@@ -243,8 +250,8 @@ class JobProcess:
             j = len(chunks) - 1
             while starts[j] >= t_int:
                 j -= 1
-        runs = [(pg, starts[k], dt)
-                for k, (_p, pg, dt) in enumerate(chunks[:j + 1])
+        runs = [(ix, starts[k], fl)
+                for k, (_p, pg, _d, ix, fl) in enumerate(chunks[:j + 1])
                 if pg.size]
         if runs:
             table.record_access_runs(runs)

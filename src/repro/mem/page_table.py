@@ -194,19 +194,23 @@ class PageTable:
 
     def record_access_runs(
         self,
-        runs: list[tuple[np.ndarray, float, "bool | np.ndarray"]],
+        runs: list[tuple["slice | np.ndarray", float, "bool | np.ndarray"]],
     ) -> None:
         """Apply a batch of :meth:`record_access` updates in one epoch bump.
 
-        ``runs`` is a list of ``(pages, now, dirty)`` tuples in access
-        order; later stamps overwrite earlier ones exactly as the
-        per-chunk calls would.  Callers (the steady-state fast path)
-        have already verified residency via the vectorised probe, so the
-        per-call ``present`` validation is skipped.  The single epoch
-        bump at the end preserves the epoch contract: cached views
-        are only consulted *between* mutations, and the batch is applied
-        atomically from the simulation's point of view (no event can
-        observe a half-applied run).
+        ``runs`` is a list of ``(index, now, dirty)`` tuples in access
+        order, as :func:`~repro.workloads.base.expand_phase` with
+        ``indexed=True`` forms them: ``index`` selects the stamped pages
+        (a basic ``slice`` for one contiguous run, else an array of
+        distinct page numbers) and ``dirty`` is a bool or a mask aligned
+        with the selected pages.  Later stamps overwrite earlier ones
+        exactly as the per-chunk calls would.  Callers (the steady-state
+        fast path) have already verified residency via the vectorised
+        probe, so the per-call ``present`` validation is skipped.  The
+        single epoch bump at the end preserves the epoch contract:
+        cached views are only consulted *between* mutations, and the
+        batch is applied atomically from the simulation's point of view
+        (no event can observe a half-applied run).
         """
         if not runs:
             return
@@ -214,19 +218,17 @@ class PageTable:
         last_ref = self.last_ref
         dirty_arr = self.dirty
         low = self.dirty_low_water
-        for pages, now, dirty in runs:
-            referenced[pages] = True
-            last_ref[pages] = now
+        for index, now, dirty in runs:
+            referenced[index] = True
+            last_ref[index] = now
             if now < low:
                 low = now
-            if np.isscalar(dirty) or isinstance(dirty, bool):
-                if dirty:
-                    dirty_arr[pages] = True
-            else:
-                mask = np.asarray(dirty, dtype=bool)
-                if mask.shape != pages.shape:
-                    raise ValueError("dirty mask shape mismatch")
-                dirty_arr[pages[mask]] = True
+            if isinstance(dirty, np.ndarray):
+                # on a page array ``|=`` gathers, ORs and scatters back;
+                # the pages are distinct, so only the masked ones change
+                dirty_arr[index] |= dirty
+            elif dirty:
+                dirty_arr[index] = True
         self.dirty_low_water = low
         self.epoch += 1
 

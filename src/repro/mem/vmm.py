@@ -224,10 +224,6 @@ class VirtualMemoryManager:
     # ------------------------------------------------------------------
     # the steady-state fast path (see repro.sim.fastpath)
     # ------------------------------------------------------------------
-    def resident_all(self, pid: int, pages: np.ndarray) -> bool:
-        """One vectorised probe: is the whole chunk already resident?"""
-        return bool(self.tables[pid].present[pages].all())
-
     def touch_fast(self, pid: int, pages: np.ndarray,
                    dirty: bool | np.ndarray = False) -> bool:
         """Service a fully-resident chunk without the generator fault path.

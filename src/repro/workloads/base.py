@@ -62,34 +62,70 @@ class Phase:
         return sum(r.npages for r in self.ranges)
 
 
-#: memo for :func:`expand_phase`, keyed by the (frozen, hashable) phase.
+#: memo for :func:`expand_phase`, keyed by the (frozen, hashable) phase:
+#: one ``(pages, dirty_mask, index, dirty_flag)`` entry per phase.
 #: Iterative workloads touch the same phases every iteration, and the
 #: expansion's dedup pass shows up in profiles.  Cleared wholesale when
 #: it outgrows the cap so long sweeps over many workloads stay bounded.
-_EXPAND_CACHE: dict[Phase, tuple[np.ndarray, np.ndarray]] = {}
+_EXPAND_CACHE: dict[Phase, tuple] = {}
 _EXPAND_CACHE_MAX = 512
 
 
-def expand_phase(phase: Phase) -> tuple[np.ndarray, np.ndarray]:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+#: the expansion of a phase that touches no page
+_EMPTY_EXPANSION = (
+    _read_only(np.empty(0, dtype=np.int64)),
+    _read_only(np.empty(0, dtype=bool)),
+    slice(0, 0),
+    False,
+)
+
+
+def expand_phase(phase: Phase, *, indexed: bool = False) -> tuple:
     """Expand a phase into ``(pages, dirty_mask)`` in touch order.
 
     A page appearing in several ranges is touched once (first
     occurrence); it is dirty if *any* containing range dirties it.
     The returned arrays are cached (and marked read-only): callers
     treat them as immutable views of the phase.
+
+    With ``indexed=True`` the result is ``(pages, dirty_mask, index,
+    dirty_flag)``, the forms :meth:`PageTable.record_access_runs
+    <repro.mem.page_table.PageTable.record_access_runs>` stamps with:
+    ``index`` is ``slice(pages[0], pages[-1] + 1)`` when ``pages`` is
+    one ascending contiguous run and ``pages`` itself otherwise, and
+    ``dirty_flag`` is a plain bool when the mask is uniform and the
+    mask otherwise.  Indexing a page-state array with ``index`` selects
+    the same pages in the same order as ``pages``.
     """
-    hit = _EXPAND_CACHE.get(phase)
-    if hit is not None:
-        return hit
-    if not phase.ranges:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    pages = np.concatenate([r.pages() for r in phase.ranges])
+    entry = _EXPAND_CACHE.get(phase)
+    if entry is None:
+        entry = _expand(phase)
+        if len(_EXPAND_CACHE) >= _EXPAND_CACHE_MAX:
+            _EXPAND_CACHE.clear()
+        _EXPAND_CACHE[phase] = entry
+    return entry if indexed else entry[:2]
+
+
+def _expand(phase: Phase) -> tuple:
+    """The uncached :func:`expand_phase` entry of ``phase``."""
+    ranges = phase.ranges
+    if not ranges:
+        return _EMPTY_EXPANSION
+    pages = np.concatenate([r.pages() for r in ranges])
     dirty = np.concatenate(
-        [np.full(r.npages, r.dirty, dtype=bool) for r in phase.ranges]
+        [np.full(r.npages, r.dirty, dtype=bool) for r in ranges]
     )
-    uniq, first = np.unique(pages, return_index=True)
-    if uniq.size != pages.size:
+    # sorted by start, two ranges share a page iff one starts before
+    # its predecessor stops
+    spans = sorted((r.start, r.stop) for r in ranges)
+    if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
         # de-duplicate, keeping touch order and OR-ing dirty flags
+        uniq, first = np.unique(pages, return_index=True)
         order = np.sort(first)
         out_pages = pages[order]
         # map occurrences to their first occurrence and OR dirty bits
@@ -98,12 +134,18 @@ def expand_phase(phase: Phase) -> tuple[np.ndarray, np.ndarray]:
         np.logical_or.at(dirty_by_uniq, inv, dirty)
         out_dirty = dirty_by_uniq[np.searchsorted(uniq, out_pages)]
         pages, dirty = out_pages, out_dirty
-    pages.flags.writeable = False
-    dirty.flags.writeable = False
-    if len(_EXPAND_CACHE) >= _EXPAND_CACHE_MAX:
-        _EXPAND_CACHE.clear()
-    _EXPAND_CACHE[phase] = (pages, dirty)
-    return pages, dirty
+    pages, dirty = _read_only(pages), _read_only(dirty)
+    if (np.diff(pages) == 1).all():
+        index = slice(int(pages[0]), int(pages[-1]) + 1)
+    else:
+        index = pages
+    if dirty.all():
+        flag = True
+    elif not dirty.any():
+        flag = False
+    else:
+        flag = dirty
+    return pages, dirty, index, flag
 
 
 def chunk_ranges(

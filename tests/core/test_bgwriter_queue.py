@@ -224,7 +224,9 @@ def test_queue_running_dry_refills_once_pages_were_dirtied():
 def test_record_access_runs_lowers_the_mark_to_its_oldest_stamp():
     t = make_table()
     q = OldestDirtyQueue(t)
-    t.record_access_runs([(np.array([9]), 50.0, True),
+    # a one-page slice, dirty, then a page array, clean: the fast path's
+    # two index forms
+    t.record_access_runs([(slice(9, 10), 50.0, True),
                           (np.array([10]), 40.0, False)])
     assert t.dirty_low_water == 40.0
     assert q.pick(16) is None  # page 9 joined the dirty set unqueued

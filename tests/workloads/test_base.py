@@ -55,6 +55,17 @@ def test_expand_empty():
     assert pages.size == 0 and dirty.size == 0
 
 
+def test_expand_empty_is_cached_and_read_only():
+    empty = Phase((), cpu_s=0.0)
+    pages, dirty, index, flag = expand_phase(empty, indexed=True)
+    assert pages.dtype == np.int64 and dirty.dtype == bool
+    assert pages.flags.writeable is False
+    assert dirty.flags.writeable is False
+    assert index == slice(0, 0) and flag is False
+    again = expand_phase(Phase((), cpu_s=1.0, label="other"), indexed=True)
+    assert again[0] is pages and again[1] is dirty
+
+
 def test_chunk_ranges_respects_max_pages():
     phases = chunk_ranges([PageRange(0, 100, dirty=True)], max_pages=30,
                           cpu_s=10.0)
