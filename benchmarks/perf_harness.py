@@ -89,8 +89,7 @@ sweep executor:
   sub-1× number as a failure; CI's 4-vCPU leg passes
   ``--require-speedup`` to turn the target into a hard gate,
 * the cumulative ``sweep_trajectory`` (PR 2 → PR 5 → PR 10 parallel
-  sweep speedup) that ``repro obs bench-report`` renders alongside the
-  fig6 single-cell trajectory.
+  sweep speedup).
 
 Each benchmark section writes one BENCH file; ``--section`` selects
 which sections run.  It defaults to the *current* PR's section so
@@ -250,8 +249,7 @@ SWEEP_TRAJECTORY = (
 def sweep_trajectory(current_speedup: float = None, jobs: int = None,
                      note: str = None) -> list:
     """The recorded sweep-speedup trajectory, extended with the
-    measurement the pr10 section just took.  ``repro obs bench-report``
-    renders this alongside the fig6 single-cell trajectory."""
+    measurement the pr10 section just took."""
     traj = [
         {"pr": pr, "speedup": speedup, "jobs": j, "host_cpu_count": cpus}
         for pr, speedup, j, cpus in SWEEP_TRAJECTORY

@@ -14,7 +14,12 @@ full size and takes a minute or two)
 
 import argparse
 
-from repro.experiments import GangConfig, run_experiment, run_modes
+from repro.experiments import (
+    GangConfig,
+    mode_configs,
+    run_experiment,
+    run_grids,
+)
 from repro.metrics import (
     format_table,
     overhead_fraction,
@@ -32,19 +37,19 @@ def main() -> None:
     base = GangConfig("LU", "C", nprocs=4, seed=args.seed, scale=args.scale)
     print(f"running {base.benchmark}.{base.klass} x2 on {base.nprocs} nodes "
           f"(scale {args.scale}) ...")
-    results = run_modes(base, ["lru", "so/ao/ai/bg"])
+    modes = mode_configs(base, ["lru", "so/ao/ai/bg"])
+    grid = run_grids({"LU": modes})
+    results = {name: grid[cfg] for name, cfg in modes.items()}
 
-    batch = results["batch"]
     rows = []
-    for name in ("batch", "lru", "so/ao/ai/bg"):
-        r = results[name]
+    for name, r in results.items():
         rows.append(
             (
                 name,
-                f"{r.makespan:.0f}",
-                r.switch_count,
-                r.pages_read,
-                r.pages_written,
+                f"{r['makespan']:.0f}",
+                r["switch_count"],
+                r["pages_read"],
+                r["pages_written"],
             )
         )
     print()
@@ -54,17 +59,18 @@ def main() -> None:
         title="LU.C x 2 jobs on 4 nodes",
     ))
 
-    lru, full = results["lru"], results["so/ao/ai/bg"]
+    batch = results["batch"]["makespan"]
+    lru = results["lru"]["makespan"]
+    full = results["so/ao/ai/bg"]["makespan"]
     print()
-    print(f"overhead lru      : {overhead_fraction(lru.makespan, batch.makespan):.0%}")
-    print(f"overhead adaptive : {overhead_fraction(full.makespan, batch.makespan):.0%}")
-    print(f"paging reduction  : "
-          f"{paging_reduction(lru.makespan, full.makespan, batch.makespan):.0%}")
+    print(f"overhead lru      : {overhead_fraction(lru, batch):.0%}")
+    print(f"overhead adaptive : {overhead_fraction(full, batch):.0%}")
+    print(f"paging reduction  : {paging_reduction(lru, full, batch):.0%}")
 
     # per-node breakdown of the adaptive run
     print()
     node_rows = []
-    for i, stats in enumerate(full.vmm_stats):
+    for i, stats in enumerate(results["so/ao/ai/bg"]["vmm_stats"]):
         node_rows.append(
             (
                 f"node{i}",
@@ -82,12 +88,15 @@ def main() -> None:
         title="Adaptive run — per-node paging",
     ))
 
-    # the coordinated switches (gang semantics: all nodes at once)
+    # the coordinated switches (gang semantics: all nodes at once); the
+    # switch log lives on the run's collector, which a grid cell does
+    # not ship back, so replay the (deterministic) adaptive run here
+    adaptive = run_experiment(modes["so/ao/ai/bg"])
     print()
     switch_rows = [
         (f"{s.started_at:.0f}", f"{s.paging_done_at - s.started_at:.1f}",
          s.in_job, s.out_job or "-")
-        for s in full.collector.switches[:12]
+        for s in adaptive.collector.switches[:12]
     ]
     print(format_table(
         ("t [s]", "switch paging [s]", "in", "out"),

@@ -16,7 +16,7 @@ Examples:
 import argparse
 
 from repro.core import PAPER_POLICIES
-from repro.experiments import GangConfig, run_modes
+from repro.experiments import GangConfig, mode_configs, run_grids
 from repro.metrics import (
     format_table,
     overhead_fraction,
@@ -57,27 +57,29 @@ def main() -> None:
     )
     policies = [p for p in args.policies if p != "batch"]
     print(f"running {cfg.label()} with policies {policies} ...")
-    results = run_modes(cfg, policies)
+    modes = mode_configs(cfg, policies)
+    grid = run_grids({"explore": modes})
+    results = {name: grid[c] for name, c in modes.items()}
 
-    batch = results["batch"].makespan
+    batch = results["batch"]["makespan"]
     lru_mk = results.get("lru")
-    lru_mk = lru_mk.makespan if lru_mk is not None else None
+    lru_mk = lru_mk["makespan"] if lru_mk is not None else None
 
     rows = [("batch", f"{batch:.0f}", "-", "-", "-", "-")]
     for pol in policies:
         r = results[pol]
         reduction = (
-            percent(paging_reduction(lru_mk, r.makespan, batch))
+            percent(paging_reduction(lru_mk, r["makespan"], batch))
             if lru_mk is not None and pol != "lru"
             else "-"
         )
         rows.append(
             (
                 pol,
-                f"{r.makespan:.0f}",
-                percent(overhead_fraction(r.makespan, batch)),
-                r.pages_read,
-                r.pages_written,
+                f"{r['makespan']:.0f}",
+                percent(overhead_fraction(r["makespan"], batch)),
+                r["pages_read"],
+                r["pages_written"],
                 reduction,
             )
         )

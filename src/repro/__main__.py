@@ -7,7 +7,6 @@ Commands
 ``all``                  run every experiment in sequence
 ``replicate``            multi-seed stability check for one workload
 ``obs <trace>``          switch-phase / event-log report from a saved file
-``obs bench-report``     cumulative perf trajectory across BENCH_PR*.json
 ``cache stats|clear``    inspect / wipe the cell result cache
 
 ``run``, ``all`` and ``replicate`` accept ``--obs`` (collect telemetry
@@ -46,7 +45,6 @@ Examples::
     python -m repro replicate --bench CG --klass B --seeds 1 2 3
     python -m repro replicate --jobs 4 --obs --trace-out sweep.trace.json
     python -m repro obs results/.sweepjournal/<sweep>.events.jsonl
-    python -m repro obs bench-report --strict
     python -m repro all --scale 0.1 --cache
     python -m repro cache stats
 """
@@ -407,21 +405,6 @@ def cmd_cache(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    if args.trace == "bench-report":
-        from repro.obs import load_bench_reports, render_bench_report
-
-        reports = load_bench_reports(args.dir or ".")
-        if not reports:
-            print(f"no BENCH_PR*.json found under {args.dir or '.'}",
-                  file=sys.stderr)
-            return 1
-        text, regressions = render_bench_report(reports,
-                                                tolerance=args.tolerance)
-        print(text)
-        if regressions and args.strict:
-            return 1
-        return 0
-
     from repro.obs import (
         load_events,
         load_spans,
@@ -590,25 +573,13 @@ def main(argv=None) -> int:
     add_resilience_flags(p_rep)
 
     p_obs = sub.add_parser(
-        "obs", help="switch-phase / event-log report from a saved "
-                    "file, or 'bench-report' for the BENCH_PR*.json "
-                    "perf trajectory"
+        "obs", help="switch-phase / event-log report from a saved file"
     )
     p_obs.add_argument("trace",
-                       help="Chrome-trace JSON, telemetry JSONL, a "
-                            "supervisor event log, or the literal "
-                            "'bench-report'")
+                       help="Chrome-trace JSON, telemetry JSONL or a "
+                            "supervisor event log")
     p_obs.add_argument("--run", default=None,
                        help="restrict to one run scope (trace process name)")
-    p_obs.add_argument("--dir", default=None,
-                       help="bench-report: directory holding "
-                            "BENCH_PR*.json (default: .)")
-    p_obs.add_argument("--strict", action="store_true",
-                       help="bench-report: exit 1 when any trajectory "
-                            "step regressed")
-    p_obs.add_argument("--tolerance", type=float, default=1.1,
-                       help="bench-report: flag a step growing past "
-                            "TOLERANCE x its predecessor (default 1.1)")
 
     p_cache = sub.add_parser(
         "cache", help="inspect or wipe the cell result cache"

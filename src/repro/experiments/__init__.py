@@ -40,10 +40,11 @@ so the same experiment runs at sub-second size in the benchmarks.
 from repro.experiments.runner import (
     GangConfig,
     RunResult,
+    mode_configs,
     run_cell,
     run_experiment,
-    run_modes,
+    run_grids,
 )
 
-__all__ = ["GangConfig", "RunResult", "run_cell", "run_experiment",
-           "run_modes"]
+__all__ = ["GangConfig", "RunResult", "mode_configs", "run_cell",
+           "run_experiment", "run_grids"]

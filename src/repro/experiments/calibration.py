@@ -9,11 +9,14 @@ nearest the paper's 26 % while keeping the parallel-band behaviour.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.disk.device import DiskParams
-from repro.experiments.runner import GangConfig, run_modes
-from repro.metrics.analysis import overhead_fraction, paging_reduction
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    paging_record,
+    run_grids,
+)
 from repro.metrics.report import format_table, percent
 
 #: (seek seconds, transfer bytes/s) grid
@@ -30,22 +33,22 @@ PAPER_REDUCTION = 0.84
 
 
 def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
-        grid=GRID) -> dict:
+        grid=GRID, jobs: int = 1) -> dict:
+    cases = {
+        (seek, xfer): mode_configs(
+            GangConfig("LU", "B", nprocs=1, seed=seed, scale=scale,
+                       disk=DiskParams(seek_s=seek, rotational_s=0.004,
+                                       transfer_bytes_s=xfer)),
+            ("lru", "so/ao/ai/bg"),
+        )
+        for seek, xfer in grid
+    }
+    results = run_grids(cases, jobs=jobs, context="calibration grid")
     records = {}
-    for seek, xfer in grid:
-        disk = DiskParams(seek_s=seek, rotational_s=0.004,
-                          transfer_bytes_s=xfer)
-        cfg = GangConfig("LU", "B", nprocs=1, seed=seed, scale=scale,
-                         disk=disk)
-        res = run_modes(cfg, ["lru", "so/ao/ai/bg"])
-        batch = res["batch"].makespan
-        lru = res["lru"].makespan
-        full = res["so/ao/ai/bg"].makespan
-        records[(seek, xfer)] = {
-            "overhead_lru": overhead_fraction(lru, batch),
-            "overhead_adaptive": overhead_fraction(full, batch),
-            "reduction": paging_reduction(lru, full, batch),
-        }
+    for point, modes in cases.items():
+        rec = paging_record(makespans(modes, results))
+        records[point] = {k: rec[k] for k in
+                          ("overhead_lru", "overhead_adaptive", "reduction")}
     if not quiet:
         print(render(records))
     return records

@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.runner import GangConfig, run_modes
-from repro.metrics.analysis import overhead_fraction, paging_reduction
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    paging_record,
+    run_grids,
+)
 from repro.metrics.report import format_table, percent
 from repro.mem.params import mb_to_pages, pages_to_mb
 from repro.workloads.analysis import profile_workload
@@ -34,28 +39,33 @@ def _rank_correlation(xs, ys) -> float:
     return float((rx * ry).sum() / denom) if denom else 0.0
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
+    cases = {
+        bench: mode_configs(
+            GangConfig(bench, "B", nprocs=1, memory_mb=MEMORY_MB,
+                       seed=seed, scale=scale),
+            ("lru", "so/ao/ai/bg"),
+        )
+        for bench in BENCHMARKS
+    }
+    results = run_grids(cases, jobs=jobs, context="characterization")
     records = {}
-    for bench in BENCHMARKS:
+    for bench, modes in cases.items():
         w = make_npb(bench, "B")
         profile = profile_workload(
             make_npb(bench, "B", max_phase_pages=8192),
             np.random.default_rng(seed),
         )
-        cfg = GangConfig(bench, "B", nprocs=1, memory_mb=MEMORY_MB,
-                         seed=seed, scale=scale)
-        res = run_modes(cfg, ["lru", "so/ao/ai/bg"])
-        batch = res["batch"].makespan
-        lru = res["lru"].makespan
-        full = res["so/ao/ai/bg"].makespan
+        rec = paging_record(makespans(modes, results))
         footprint_mb = pages_to_mb(w.footprint_pages)
         records[bench] = {
             "footprint_mb": footprint_mb,
             "overcommit": 2 * footprint_mb / MEMORY_MB,
             "dirty_ratio": profile.dirty_ratio,
             "mean_reuse_distance": profile.mean_reuse_distance,
-            "overhead_lru": overhead_fraction(lru, batch),
-            "reduction": paging_reduction(lru, full, batch),
+            "overhead_lru": rec["overhead_lru"],
+            "reduction": rec["reduction"],
         }
     over = [records[b]["overcommit"] for b in BENCHMARKS]
     red = [records[b]["reduction"] for b in BENCHMARKS]

@@ -10,8 +10,13 @@ shrinks and synchronisation costs grow.
 
 from __future__ import annotations
 
-from repro.experiments.runner import GangConfig, run_modes
-from repro.metrics.analysis import overhead_fraction, paging_reduction
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    paging_record,
+    run_grids,
+)
 from repro.metrics.report import format_table, percent
 
 NODE_COUNTS = (2, 4, 8, 16)
@@ -19,22 +24,15 @@ POLICIES = ("lru", "so/ao/ai/bg")
 
 
 def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
-        node_counts=NODE_COUNTS) -> dict:
-    records = {}
-    for n in node_counts:
-        cfg = GangConfig("LU", "C", nprocs=n, seed=seed, scale=scale)
-        res = run_modes(cfg, POLICIES)
-        batch = res["batch"].makespan
-        lru = res["lru"].makespan
-        full = res["so/ao/ai/bg"].makespan
-        records[n] = {
-            "batch_s": batch,
-            "lru_s": lru,
-            "adaptive_s": full,
-            "overhead_lru": overhead_fraction(lru, batch),
-            "overhead_adaptive": overhead_fraction(full, batch),
-            "reduction": paging_reduction(lru, full, batch),
-        }
+        node_counts=NODE_COUNTS, jobs: int = 1) -> dict:
+    cases = {
+        n: mode_configs(GangConfig("LU", "C", nprocs=n, seed=seed,
+                                   scale=scale), POLICIES)
+        for n in node_counts
+    }
+    results = run_grids(cases, jobs=jobs, context="scaling sweep")
+    records = {n: paging_record(makespans(modes, results))
+               for n, modes in cases.items()}
     if not quiet:
         print(render(records))
     return records

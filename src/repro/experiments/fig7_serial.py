@@ -13,8 +13,13 @@ Paper results for (c): MG 93 %, LU 84 %, SP 78 %, CG 68 %, IS 19 %.
 
 from __future__ import annotations
 
-from repro.experiments.runner import GangConfig, run_modes
-from repro.metrics.analysis import overhead_fraction, paging_reduction
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    paging_record,
+    run_grids,
+)
 from repro.metrics.report import format_table, percent
 
 BENCHMARKS = ("LU", "SP", "CG", "IS", "MG")
@@ -22,24 +27,31 @@ PAPER_REDUCTION = {"LU": 0.84, "SP": 0.78, "CG": 0.68, "IS": 0.19, "MG": 0.93}
 POLICIES = ("lru", "so/ao/ai/bg")
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def grid(scale: float = 1.0, seed: int = 1) -> dict:
+    """The Figure 7 cell grid: benchmark -> {mode: config}."""
+    return {
+        bench: mode_configs(
+            GangConfig(bench, "B", nprocs=1, seed=seed, scale=scale),
+            POLICIES,
+        )
+        for bench in BENCHMARKS
+    }
+
+
+def reduce(cases: dict, results: dict) -> dict:
+    """One record per benchmark from a :func:`run_grids` result."""
+    return {
+        bench: {**paging_record(makespans(modes, results)),
+                "paper_reduction": PAPER_REDUCTION[bench]}
+        for bench, modes in cases.items()
+    }
+
+
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
     """Run the Figure 7 experiment; returns one record per benchmark."""
-    records = {}
-    for bench in BENCHMARKS:
-        cfg = GangConfig(bench, "B", nprocs=1, seed=seed, scale=scale)
-        res = run_modes(cfg, POLICIES)
-        batch = res["batch"].makespan
-        lru = res["lru"].makespan
-        full = res["so/ao/ai/bg"].makespan
-        records[bench] = {
-            "batch_s": batch,
-            "lru_s": lru,
-            "adaptive_s": full,
-            "overhead_lru": overhead_fraction(lru, batch),
-            "overhead_adaptive": overhead_fraction(full, batch),
-            "reduction": paging_reduction(lru, full, batch),
-            "paper_reduction": PAPER_REDUCTION[bench],
-        }
+    cases = grid(scale, seed)
+    records = reduce(cases, run_grids(cases, jobs=jobs, context="fig7"))
     if not quiet:
         print(render(records))
     return records

@@ -12,8 +12,13 @@ Paper reductions: 2 nodes — LU 61 %, IS 72 %, CG 38 %;
 
 from __future__ import annotations
 
-from repro.experiments.runner import GangConfig, run_modes
-from repro.metrics.analysis import overhead_fraction, paging_reduction
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    paging_record,
+    run_grids,
+)
 from repro.metrics.report import format_table, percent
 
 #: (benchmark, nodes, quantum seconds)
@@ -36,27 +41,33 @@ PAPER_REDUCTION = {
 POLICIES = ("lru", "so/ao/ai/bg")
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
-    """Run Figure 8; returns one record per (benchmark, nodes) case."""
-    records = {}
-    for bench, nprocs, quantum in CASES:
-        cfg = GangConfig(
-            bench, "C", nprocs=nprocs, quantum_s=quantum,
-            seed=seed, scale=scale,
+def grid(scale: float = 1.0, seed: int = 1) -> dict:
+    """The Figure 8 cell grid: (benchmark, nodes) -> {mode: config}."""
+    return {
+        (bench, nprocs): mode_configs(
+            GangConfig(bench, "C", nprocs=nprocs, quantum_s=quantum,
+                       seed=seed, scale=scale),
+            POLICIES,
         )
-        res = run_modes(cfg, POLICIES)
-        batch = res["batch"].makespan
-        lru = res["lru"].makespan
-        full = res["so/ao/ai/bg"].makespan
-        records[(bench, nprocs)] = {
-            "batch_s": batch,
-            "lru_s": lru,
-            "adaptive_s": full,
-            "overhead_lru": overhead_fraction(lru, batch),
-            "overhead_adaptive": overhead_fraction(full, batch),
-            "reduction": paging_reduction(lru, full, batch),
-            "paper_reduction": PAPER_REDUCTION.get((bench, nprocs)),
-        }
+        for bench, nprocs, quantum in CASES
+    }
+
+
+def reduce(cases: dict, results: dict) -> dict:
+    """One record per (benchmark, nodes) case from a :func:`run_grids`
+    result."""
+    return {
+        case: {**paging_record(makespans(modes, results)),
+               "paper_reduction": PAPER_REDUCTION.get(case)}
+        for case, modes in cases.items()
+    }
+
+
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
+    """Run Figure 8; returns one record per (benchmark, nodes) case."""
+    cases = grid(scale, seed)
+    records = reduce(cases, run_grids(cases, jobs=jobs, context="fig8"))
     if not quiet:
         print(render(records))
     return records

@@ -17,7 +17,12 @@ Paper observations to reproduce in shape:
 from __future__ import annotations
 
 from repro.core.policies import PAPER_POLICIES
-from repro.experiments.runner import GangConfig, run_modes
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    run_grids,
+)
 from repro.metrics.analysis import overhead_fraction, paging_reduction
 from repro.metrics.report import format_table, percent
 
@@ -34,26 +39,40 @@ PAPER_FULL_REDUCTION = {"serial": 0.83, "2 machines": 0.61,
                         "4 machines": 0.71}
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
-    """Run Figure 9; returns records[config_label][policy]."""
-    records: dict[str, dict] = {}
-    for label, klass, nprocs, quantum in CONFIGS:
-        cfg = GangConfig(
-            "LU", klass, nprocs=nprocs, quantum_s=quantum,
-            seed=seed, scale=scale,
+def grid(scale: float = 1.0, seed: int = 1) -> dict:
+    """The Figure 9 cell grid: config label -> {mode: config}."""
+    return {
+        label: mode_configs(
+            GangConfig("LU", klass, nprocs=nprocs, quantum_s=quantum,
+                       seed=seed, scale=scale),
+            PAPER_POLICIES,
         )
-        res = run_modes(cfg, PAPER_POLICIES)
-        batch = res["batch"].makespan
-        lru = res["lru"].makespan
+        for label, klass, nprocs, quantum in CONFIGS
+    }
+
+
+def reduce(cases: dict, results: dict) -> dict:
+    """records[config_label][policy] from a :func:`run_grids` result."""
+    records: dict[str, dict] = {}
+    for label, modes in cases.items():
+        mk = makespans(modes, results)
+        batch, lru = mk["batch"], mk["lru"]
         per_policy = {"batch": {"makespan_s": batch}}
         for pol in PAPER_POLICIES:
-            mk = res[pol].makespan
             per_policy[pol] = {
-                "makespan_s": mk,
-                "overhead": overhead_fraction(mk, batch),
-                "reduction": paging_reduction(lru, mk, batch),
+                "makespan_s": mk[pol],
+                "overhead": overhead_fraction(mk[pol], batch),
+                "reduction": paging_reduction(lru, mk[pol], batch),
             }
         records[label] = per_policy
+    return records
+
+
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
+    """Run Figure 9; returns records[config_label][policy]."""
+    cases = grid(scale, seed)
+    records = reduce(cases, run_grids(cases, jobs=jobs, context="fig9"))
     if not quiet:
         print(render(records))
     return records

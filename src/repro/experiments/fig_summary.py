@@ -1,21 +1,27 @@
 """One-shot paper-vs-measured summary across all headline figures.
 
-Runs the Fig. 7/8/9 harnesses and condenses them into the single
-comparison table `EXPERIMENTS.md` reports — the quickest way to see the
-whole reproduction at once (use ``scale=1.0`` for the recorded
-full-size numbers, smaller scales for a fast look).
+Runs the union of the Fig. 7/8/9 cell grids as one cell table and
+condenses the three figures into the single comparison table
+`EXPERIMENTS.md` reports — the quickest way to see the whole
+reproduction at once (use ``scale=1.0`` for the recorded full-size
+numbers, smaller scales for a fast look).  The grids are keyed by
+config, so the LU cells Fig. 9 shares with Fig. 7 and Fig. 8 run once.
 """
 
 from __future__ import annotations
 
 from repro.experiments import fig7_serial, fig8_parallel, fig9_lu_detail
+from repro.experiments.runner import run_grids
 from repro.metrics.report import format_table, percent
 
+FIGURES = (fig7_serial, fig8_parallel, fig9_lu_detail)
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
-    f7 = fig7_serial.run(scale=scale, seed=seed, quiet=True)
-    f8 = fig8_parallel.run(scale=scale, seed=seed, quiet=True)
-    f9 = fig9_lu_detail.run(scale=scale, seed=seed, quiet=True)
+
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
+    grids = [fig.grid(scale, seed) for fig in FIGURES]
+    results = run_grids(*grids, jobs=jobs, context="fig summary")
+    f7, f8, f9 = (fig.reduce(g, results) for fig, g in zip(FIGURES, grids))
 
     rows = []
     for bench, r in f7.items():

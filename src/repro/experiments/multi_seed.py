@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.experiments.runner import GangConfig, run_cell
+from repro.experiments.runner import GangConfig, mode_configs, run_cell
 from repro.metrics.analysis import overhead_fraction, paging_reduction
 from repro.metrics.report import format_table
 from repro.perf.pool import Cell, run_cells
@@ -56,17 +56,12 @@ def cell_grid(
     One cell per independent simulation: batch, lru and the policy run
     for every seed (the policy run is dropped when it *is* lru).
     """
-    modes = ["batch", "lru"] + ([policy] if policy != "lru" else [])
-    cells: list[Cell] = []
-    for seed in seeds:
-        seeded = replace(base, seed=seed)
-        for label in modes:
-            cfg = (
-                replace(seeded, mode="batch") if label == "batch"
-                else replace(seeded, mode="gang", policy=label)
-            )
-            cells.append(Cell((seed, label), run_cell, {"cfg": cfg}))
-    return cells
+    return [
+        Cell((seed, label), run_cell, {"cfg": cfg})
+        for seed in seeds
+        for label, cfg in mode_configs(replace(base, seed=seed),
+                                       ("lru", policy)).items()
+    ]
 
 
 def replicate(

@@ -30,7 +30,7 @@ import resource
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Hashable, Mapping, Optional, Sequence, Union
 
 from repro.cluster.node import Node
 from repro.core.policies import PagingPolicy
@@ -40,8 +40,11 @@ from repro.faults.plan import FAULT_FREE, FaultPlan, FaultRates
 from repro.gang.job import Job
 from repro.gang.scheduler import BatchScheduler, GangScheduler
 from repro.mem.params import MemoryParams
+from repro.metrics.analysis import overhead_fraction, paging_reduction
 from repro.metrics.collector import MetricsCollector
 from repro.obs import Registry, get_default, summary as obs_summary
+from repro.perf.pool import Cell, run_cells
+from repro.perf.supervisor import require_ok
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.rng import RngStreams
 from repro.workloads.base import Workload
@@ -412,25 +415,54 @@ def run_cell(cfg: GangConfig, obs_enabled: bool = False) -> dict:
     }
 
 
-def run_modes(
-    base: GangConfig,
-    policies: Sequence[str],
-    partial_path: Optional[Union[str, Path]] = None,
-) -> dict[str, RunResult]:
-    """Run ``batch`` plus a gang run per policy; keys: "batch", policies.
-
-    ``partial_path`` is forwarded to every :func:`run_experiment` call,
-    so whichever mode dies first leaves its crash-safe partial record
-    there before the exception propagates.
-    """
-    out: dict[str, RunResult] = {}
-    out["batch"] = run_experiment(replace(base, mode="batch"),
-                                  partial_path=partial_path)
+def mode_configs(
+    base: GangConfig, policies: Sequence[str]
+) -> dict[str, GangConfig]:
+    """``batch`` plus one gang run per policy; keys: "batch", policies."""
+    out = {"batch": replace(base, mode="batch")}
     for pol in policies:
-        out[pol] = run_experiment(replace(base, mode="gang", policy=pol),
-                                  partial_path=partial_path)
+        out[pol] = replace(base, mode="gang", policy=pol)
     return out
 
 
-__all__ = ["GangConfig", "RunResult", "run_cell", "run_experiment",
-           "run_modes"]
+def run_grids(*grids: Mapping[Hashable, Mapping[str, GangConfig]],
+              jobs: int = 1,
+              context: str = "experiment grid") -> dict[GangConfig, dict]:
+    """Run every config of ``grids`` once; returns ``{config: run_cell}``.
+
+    A grid maps each case to its ``{mode: config}``, as
+    :func:`mode_configs` builds them.  The configs form one
+    :func:`~repro.perf.pool.run_cells` table keyed by the (frozen,
+    hashable) config itself, so a config shared by several grids is
+    simulated once, and ``--jobs``, the cell cache, the supervisor and
+    ``--obs`` all apply.
+    """
+    cells = {
+        cfg: Cell(cfg, run_cell, {"cfg": cfg})
+        for grid in grids for modes in grid.values() for cfg in modes.values()
+    }
+    return require_ok(run_cells(cells.values(), jobs=jobs), context=context)
+
+
+def makespans(modes: Mapping[str, GangConfig],
+              results: Mapping[GangConfig, dict]) -> dict[str, float]:
+    """``{mode: makespan}`` for one case of a :func:`run_grids` result."""
+    return {mode: results[cfg]["makespan"] for mode, cfg in modes.items()}
+
+
+def paging_record(mk: Mapping[str, float]) -> dict:
+    """Completion times, switching overheads and paging reduction of
+    ``so/ao/ai/bg`` over ``lru``, from one case's :func:`makespans`."""
+    batch, lru, full = mk["batch"], mk["lru"], mk["so/ao/ai/bg"]
+    return {
+        "batch_s": batch,
+        "lru_s": lru,
+        "adaptive_s": full,
+        "overhead_lru": overhead_fraction(lru, batch),
+        "overhead_adaptive": overhead_fraction(full, batch),
+        "reduction": paging_reduction(lru, full, batch),
+    }
+
+
+__all__ = ["GangConfig", "RunResult", "makespans", "mode_configs",
+           "paging_record", "run_cell", "run_experiment", "run_grids"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.disk.device import ERA_DISK, DiskParams
-from repro.experiments.runner import GangConfig, run_cell
+from repro.experiments.runner import GangConfig, mode_configs, run_cell
 from repro.metrics.analysis import overhead_fraction, paging_reduction
 from repro.metrics.report import format_table, percent
 from repro.perf.pool import Cell, run_cells
@@ -51,20 +51,13 @@ AXES = {
 
 def cell_grid(base: GangConfig, axes: dict) -> list[Cell]:
     """One cell per (axis, point, mode) — 3 modes per grid point."""
-    cells: list[Cell] = []
-    for axis, points in axes.items():
-        for label, overrides in points:
-            cfg = replace(base, **overrides)
-            cells.append(Cell(
-                (axis, label, "batch"), run_cell,
-                {"cfg": replace(cfg, mode="batch")},
-            ))
-            for pol in ("lru", "so/ao/ai/bg"):
-                cells.append(Cell(
-                    (axis, label, pol), run_cell,
-                    {"cfg": replace(cfg, mode="gang", policy=pol)},
-                ))
-    return cells
+    return [
+        Cell((axis, label, mode), run_cell, {"cfg": cfg})
+        for axis, points in axes.items()
+        for label, overrides in points
+        for mode, cfg in mode_configs(replace(base, **overrides),
+                                      ("lru", "so/ao/ai/bg")).items()
+    ]
 
 
 def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,

@@ -64,10 +64,8 @@ from repro.obs.sweep import (
     SweepEventLog,
     SweepObserver,
     get_default_sweep,
-    load_bench_reports,
     load_events,
     merge_summaries,
-    render_bench_report,
     render_event_table,
     set_default_sweep,
 )
@@ -101,12 +99,10 @@ __all__ = [
     "chrome_trace",
     "get_default",
     "get_default_sweep",
-    "load_bench_reports",
     "load_events",
     "load_spans",
     "merge_summaries",
     "phase_breakdown",
-    "render_bench_report",
     "render_counter_table",
     "render_event_table",
     "render_phase_table",

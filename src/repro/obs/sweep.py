@@ -33,19 +33,15 @@ closes the gap with four pieces:
   journal.  :func:`load_events` / :func:`render_event_table` read a
   log back for ``repro obs``.
 
-* **Progress + bench trajectory.**  :class:`ProgressTicker` renders a
-  single-line live done/running/quarantined + ETA + events/sec display
-  to stderr (auto-disabled when not a TTY), driven by the supervisor's
-  EMA cost estimates.  :func:`load_bench_reports` /
-  :func:`render_bench_report` back ``repro obs bench-report``: the
-  cumulative fig6 perf trajectory across every committed
-  ``BENCH_PR*.json``, with consecutive-step regression flags.
+* **Progress.**  :class:`ProgressTicker` renders a single-line live
+  done/running/quarantined + ETA + events/sec display to stderr
+  (auto-disabled when not a TTY), driven by the supervisor's EMA cost
+  estimates.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 import time
 from pathlib import Path
@@ -450,194 +446,14 @@ class ProgressTicker:
             self.stream.flush()
 
 
-# ---------------------------------------------------------------------------
-# bench-trajectory report
-# ---------------------------------------------------------------------------
-
-_BENCH_RE = re.compile(r"^BENCH_PR(\d+)\.json$")
-
-#: a trajectory step is flagged when its fig6 wall time exceeds its
-#: predecessor's by more than this factor (absorbs host noise between
-#: the recorded measurements)
-BENCH_REGRESSION_TOLERANCE = 1.1
-
-
-def load_bench_reports(root: Union[str, Path] = ".") -> list[dict]:
-    """Every committed ``BENCH_PR*.json`` under ``root``, PR-sorted.
-
-    Returns ``[{"pr": n, "path": ..., "report": {...}}, ...]``;
-    unreadable or malformed files are skipped silently (a fresh
-    checkout must not fail on a partial set).
-    """
-    out = []
-    for path in sorted(Path(root).glob("BENCH_PR*.json")):
-        m = _BENCH_RE.match(path.name)
-        if not m:
-            continue
-        try:
-            report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if isinstance(report, dict):
-            out.append({"pr": int(m.group(1)), "path": str(path),
-                        "report": report})
-    out.sort(key=lambda r: r["pr"])
-    return out
-
-
-def bench_trajectory(reports: list[dict]) -> list[dict]:
-    """The fullest ``fig6_trajectory`` across the reports.
-
-    Every BENCH file carries the cumulative trajectory forward, so the
-    longest list is the complete history; rows without a wall time are
-    dropped.
-    """
-    best: list = []
-    for r in reports:
-        traj = r["report"].get("fig6_trajectory")
-        if isinstance(traj, list) and len(traj) > len(best):
-            best = traj
-    return [t for t in best
-            if isinstance(t, dict) and isinstance(t.get("wall_s"),
-                                                  (int, float))]
-
-
-def sweep_speedup_trajectory(reports: list[dict]) -> list[dict]:
-    """The fullest parallel-sweep speedup history across the reports.
-
-    Mirrors :func:`bench_trajectory` for the second perf axis: PR 10
-    reports carry a cumulative ``sweep_trajectory`` list
-    (``[{"pr": "PR2", "speedup": 0.74}, ...]``); older reports that
-    predate it contribute their recorded ``sweep.sweep_speedup``
-    (BENCH_PR2) as a fallback so the history renders even on a
-    checkout whose newest report is old.
-    """
-    best: list = []
-    for r in reports:
-        traj = r["report"].get("sweep_trajectory")
-        if isinstance(traj, list) and len(traj) > len(best):
-            best = traj
-    if not best:
-        for r in reports:
-            sweep = r["report"].get("sweep")
-            if isinstance(sweep, dict) and isinstance(
-                    sweep.get("sweep_speedup"), (int, float)):
-                best.append({"pr": f"PR{r['pr']}",
-                             "speedup": sweep["sweep_speedup"],
-                             "jobs": sweep.get("jobs"),
-                             "host_cpu_count":
-                                 r["report"].get("host_cpu_count")})
-    return [t for t in best
-            if isinstance(t, dict) and isinstance(t.get("speedup"),
-                                                  (int, float))]
-
-
-def flag_regressions(traj: list[dict],
-                     tolerance: float = BENCH_REGRESSION_TOLERANCE
-                     ) -> list[dict]:
-    """Consecutive trajectory steps whose wall time grew past
-    ``tolerance``× the previous PR's — each PR's committed measurement
-    is the floor its successor is judged against."""
-    flags = []
-    for prev, cur in zip(traj, traj[1:]):
-        if prev["wall_s"] > 0 and cur["wall_s"] > prev["wall_s"] * tolerance:
-            flags.append({
-                "pr": cur.get("pr"),
-                "wall_s": cur["wall_s"],
-                "prev_pr": prev.get("pr"),
-                "prev_wall_s": prev["wall_s"],
-                "factor": cur["wall_s"] / prev["wall_s"],
-            })
-    return flags
-
-
-def render_bench_report(reports: list[dict],
-                        tolerance: float = BENCH_REGRESSION_TOLERANCE
-                        ) -> tuple[str, list[dict]]:
-    """(report text, regression flags) for ``repro obs bench-report``."""
-    from repro.metrics.report import format_table  # lazy: circular
-
-    traj = bench_trajectory(reports)
-    lines = []
-    if traj:
-        base = traj[0]["wall_s"]
-        rows = []
-        prev: Optional[float] = None
-        for t in traj:
-            step = "" if prev is None or prev <= 0 \
-                else f"{prev / t['wall_s']:.2f}x"
-            rows.append((
-                t.get("pr", "?"),
-                f"{t['wall_s']:.3f}",
-                f"{base / t['wall_s']:.2f}x" if t["wall_s"] > 0 else "?",
-                step,
-            ))
-            prev = t["wall_s"]
-        lines.append(format_table(
-            ("pr", "fig6 wall s", "vs seed", "vs prev"),
-            rows, title="Figure-6 LRU cell perf trajectory"))
-    else:
-        lines.append("no fig6 trajectory found in BENCH reports")
-    sweep_traj = sweep_speedup_trajectory(reports)
-    if sweep_traj:
-        rows = []
-        for t in sweep_traj:
-            speedup = t["speedup"]
-            jobs = t.get("jobs")
-            cpus = t.get("host_cpu_count")
-            note = t.get("note", "")
-            if not note and isinstance(cpus, int) and cpus < 4:
-                note = f"{cpus}-cpu host"
-            rows.append((
-                t.get("pr", "?"),
-                f"{speedup:.2f}x",
-                str(jobs) if jobs is not None else "?",
-                str(cpus) if cpus is not None else "?",
-                note,
-            ))
-        lines.append("")
-        lines.append(format_table(
-            ("pr", "sweep speedup", "jobs", "host cpus", "note"),
-            rows, title="Parallel sweep speedup trajectory "
-                        "(vs serial, target 1.50x)"))
-    rows = [
-        (f"PR{r['pr']}", r["report"].get("mode", "?"),
-         str(r["report"].get("bench", "?")), r["path"])
-        for r in reports
-    ]
-    if rows:
-        lines.append("")
-        lines.append(format_table(("report", "mode", "bench", "file"),
-                                  rows, title="Committed BENCH reports"))
-    regressions = flag_regressions(traj, tolerance)
-    lines.append("")
-    for f in regressions:
-        lines.append(
-            f"REGRESSION: {f['pr']} fig6 wall {f['wall_s']:.3f}s is "
-            f"{f['factor']:.2f}x {f['prev_pr']} "
-            f"({f['prev_wall_s']:.3f}s), beyond the {tolerance:.2f}x "
-            f"tolerance")
-    if not regressions and traj:
-        lines.append(
-            f"no regressions: every step within {tolerance:.2f}x of "
-            f"its predecessor")
-    return "\n".join(lines), regressions
-
-
 __all__ = [
-    "BENCH_REGRESSION_TOLERANCE",
     "ProgressTicker",
     "SweepEventLog",
     "SweepObserver",
-    "bench_trajectory",
-    "flag_regressions",
     "get_default_sweep",
-    "load_bench_reports",
     "load_events",
     "merge_summaries",
-    "render_bench_report",
     "render_event_table",
     "set_default_sweep",
     "summary_of_snapshot",
-    "sweep_speedup_trajectory",
 ]

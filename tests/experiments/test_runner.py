@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import GangConfig, RunResult, run_experiment, run_modes
+from repro.experiments import (
+    GangConfig,
+    RunResult,
+    mode_configs,
+    run_experiment,
+    run_grids,
+)
+from repro.experiments.runner import makespans
 from repro.metrics import overhead_fraction, paging_reduction
 
 SCALE = 0.04  # ~14 MB of memory, sub-second runs
@@ -54,28 +61,15 @@ def test_parallel_run_uses_all_nodes():
     assert nodes == {"node0", "node1"}
 
 
-def test_run_modes_returns_batch_plus_policies():
+def test_mode_configs_returns_batch_plus_policies():
     cfg = GangConfig("LU", "B", nprocs=1, scale=SCALE)
-    res = run_modes(cfg, ["lru", "so"])
-    assert set(res) == {"batch", "lru", "so"}
-    assert res["batch"].switch_count == 0
-
-
-def test_run_modes_forwards_partial_path(tmp_path):
-    import json
-
-    from repro.faults.errors import WatchdogTimeout
-
-    out = tmp_path / "partial.json"
-    cfg = GangConfig("LU", "B", nprocs=1, scale=SCALE, max_events=500)
-    with pytest.raises(WatchdogTimeout):
-        run_modes(cfg, ["lru"], partial_path=out)
-    # whichever mode tripped the watchdog left its record behind
-    # (batch finishes under 500 events at this scale; the gang run
-    # does not)
-    data = json.loads(out.read_text())
-    assert data["partial"] is True
-    assert "lru" in data["label"]
+    modes = mode_configs(cfg, ["lru", "so"])
+    assert list(modes) == ["batch", "lru", "so"]
+    assert modes["batch"] == replace(cfg, mode="batch")
+    assert modes["so"] == replace(cfg, mode="gang", policy="so")
+    res = run_grids({"LU": modes})
+    assert list(res) == list(modes.values())
+    assert res[modes["batch"]]["switch_count"] == 0
 
 
 def test_run_result_perf_metrics_populated():
@@ -91,11 +85,10 @@ def test_run_result_perf_metrics_populated():
 
 def test_adaptive_policy_never_slower_at_small_scale():
     cfg = GangConfig("LU", "B", nprocs=1, scale=SCALE)
-    res = run_modes(cfg, ["lru", "so/ao/ai/bg"])
-    b = res["batch"].makespan
-    assert res["so/ao/ai/bg"].makespan <= res["lru"].makespan
-    red = paging_reduction(res["lru"].makespan,
-                           res["so/ao/ai/bg"].makespan, b)
+    modes = mode_configs(cfg, ["lru", "so/ao/ai/bg"])
+    mk = makespans(modes, run_grids({"LU": modes}))
+    assert mk["so/ao/ai/bg"] <= mk["lru"]
+    red = paging_reduction(mk["lru"], mk["so/ao/ai/bg"], mk["batch"])
     assert red > 0.2
 
 

@@ -11,13 +11,9 @@ from repro.obs.sweep import (
     ProgressTicker,
     SweepEventLog,
     SweepObserver,
-    bench_trajectory,
-    flag_regressions,
     get_default_sweep,
-    load_bench_reports,
     load_events,
     merge_summaries,
-    render_bench_report,
     render_event_table,
     set_default_sweep,
     summary_of_snapshot,
@@ -304,63 +300,3 @@ def test_ticker_throttles_redraws():
     tick.update(done=2)  # within min_interval -> suppressed
     assert buf.getvalue() == first
     assert tick.done == 2  # state still tracked
-
-
-# ---------------------------------------------------------------------------
-# bench-trajectory report
-# ---------------------------------------------------------------------------
-
-def _bench_dir(tmp_path):
-    (tmp_path / "BENCH_PR3.json").write_text(json.dumps({
-        "bench": "b3", "mode": "full",
-        "fig6_trajectory": [{"pr": "seed", "wall_s": 3.0},
-                            {"pr": "PR3", "wall_s": 1.5}]}))
-    (tmp_path / "BENCH_PR5.json").write_text(json.dumps({
-        "bench": "b5", "mode": "full",
-        "fig6_trajectory": [{"pr": "seed", "wall_s": 3.0},
-                            {"pr": "PR3", "wall_s": 1.5},
-                            {"pr": "PR5", "wall_s": 2.0}]}))
-    (tmp_path / "BENCH_PR4.json").write_text("{corrupt")
-    (tmp_path / "BENCH_other.json").write_text("{}")
-    return tmp_path
-
-
-def test_load_bench_reports_sorted_and_tolerant(tmp_path):
-    reports = load_bench_reports(_bench_dir(tmp_path))
-    assert [r["pr"] for r in reports] == [3, 5]
-    assert reports[0]["report"]["bench"] == "b3"
-
-
-def test_bench_trajectory_takes_longest(tmp_path):
-    traj = bench_trajectory(load_bench_reports(_bench_dir(tmp_path)))
-    assert [t["pr"] for t in traj] == ["seed", "PR3", "PR5"]
-
-
-def test_flag_regressions_consecutive_steps():
-    traj = [{"pr": "seed", "wall_s": 3.0}, {"pr": "PR3", "wall_s": 1.5},
-            {"pr": "PR5", "wall_s": 2.0}]
-    flags = flag_regressions(traj, tolerance=1.1)
-    assert len(flags) == 1
-    assert flags[0]["pr"] == "PR5"
-    assert flags[0]["prev_pr"] == "PR3"
-    assert flags[0]["factor"] == pytest.approx(2.0 / 1.5)
-    # within tolerance -> clean
-    assert flag_regressions(traj, tolerance=1.5) == []
-
-
-def test_render_bench_report(tmp_path):
-    reports = load_bench_reports(_bench_dir(tmp_path))
-    text, regressions = render_bench_report(reports, tolerance=1.1)
-    assert "Figure-6 LRU cell perf trajectory" in text
-    assert "Committed BENCH reports" in text
-    assert "REGRESSION: PR5" in text
-    assert len(regressions) == 1
-    text2, regs2 = render_bench_report(reports, tolerance=2.0)
-    assert "no regressions" in text2
-    assert regs2 == []
-
-
-def test_render_bench_report_empty():
-    text, regressions = render_bench_report([])
-    assert "no fig6 trajectory" in text
-    assert regressions == []

@@ -1,7 +1,7 @@
 """Cross-process telemetry capture through the sweep layer: pool
 capture/absorb, supervisor event logging, and the CLI surfaces
-(``--trace-out`` under ``--jobs N``, ``repro obs bench-report``,
-event-log rendering, cache hit rate)."""
+(``--trace-out`` under ``--jobs N``, event-log rendering, cache hit
+rate)."""
 
 import json
 import os
@@ -215,36 +215,8 @@ def test_replicate_jobs_trace_out_exports_all_cells(tmp_path, capsys,
 
 
 # ---------------------------------------------------------------------------
-# CLI: obs bench-report / event-log rendering / cache stats
+# CLI: event-log rendering / cache stats
 # ---------------------------------------------------------------------------
-
-def _write_bench(tmp_path, wall_last):
-    (tmp_path / "BENCH_PR3.json").write_text(json.dumps({
-        "bench": "b", "mode": "full",
-        "fig6_trajectory": [{"pr": "seed", "wall_s": 3.0},
-                            {"pr": "PR3", "wall_s": wall_last}]}))
-
-
-def test_cli_bench_report(tmp_path, capsys):
-    _write_bench(tmp_path, 1.5)
-    assert main(["obs", "bench-report", "--dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "Figure-6 LRU cell perf trajectory" in out
-    assert "no regressions" in out
-
-
-def test_cli_bench_report_strict_fails_on_regression(tmp_path, capsys):
-    _write_bench(tmp_path, 9.0)
-    assert main(["obs", "bench-report", "--dir", str(tmp_path)]) == 0
-    assert main(["obs", "bench-report", "--dir", str(tmp_path),
-                 "--strict"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_cli_bench_report_empty_dir(tmp_path, capsys):
-    assert main(["obs", "bench-report", "--dir", str(tmp_path)]) == 1
-    assert "no BENCH_PR*.json" in capsys.readouterr().err
-
 
 def test_cli_obs_renders_event_log(tmp_path, capsys):
     p = tmp_path / "sweep.events.jsonl"

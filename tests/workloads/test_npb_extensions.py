@@ -50,25 +50,27 @@ def test_ft_heavy_allto_all_comm():
 
 def test_ep_under_gang_has_no_paging_overhead():
     """EP never stresses memory: gang scheduling it is free."""
-    from repro.experiments import GangConfig, run_modes
+    from repro.experiments import GangConfig, mode_configs, run_grids
     from repro.metrics import overhead_fraction
 
-    cfg = GangConfig("EP", "B", nprocs=1, scale=0.2)
-    res = run_modes(cfg, ["lru"])
-    oh = overhead_fraction(res["lru"].makespan, res["batch"].makespan)
+    modes = mode_configs(GangConfig("EP", "B", nprocs=1, scale=0.2),
+                         ["lru"])
+    res = run_grids({"EP": modes})
+    lru = res[modes["lru"]]
+    oh = overhead_fraction(lru["makespan"], res[modes["batch"]]["makespan"])
     assert oh < 0.02
-    assert res["lru"].pages_read == 0
+    assert lru["pages_read"] == 0
 
 
 def test_ft_pages_heavily_under_gang():
-    from repro.experiments import GangConfig, run_modes
+    from repro.experiments import GangConfig, mode_configs, run_grids
+    from repro.experiments.runner import makespans
     from repro.metrics import overhead_fraction, paging_reduction
 
-    cfg = GangConfig("FT", "B", nprocs=1, scale=0.1)
-    res = run_modes(cfg, ["lru", "so/ao/ai/bg"])
-    b = res["batch"].makespan
-    oh = overhead_fraction(res["lru"].makespan, b)
+    modes = mode_configs(GangConfig("FT", "B", nprocs=1, scale=0.1),
+                         ["lru", "so/ao/ai/bg"])
+    mk = makespans(modes, run_grids({"FT": modes}))
+    oh = overhead_fraction(mk["lru"], mk["batch"])
     assert oh > 0.1
-    red = paging_reduction(res["lru"].makespan,
-                           res["so/ao/ai/bg"].makespan, b)
+    red = paging_reduction(mk["lru"], mk["so/ao/ai/bg"], mk["batch"])
     assert red > 0.3
