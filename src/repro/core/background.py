@@ -54,10 +54,20 @@ class OldestDirtyQueue:
     pages a burst skipped (demanded by a fault) are picked again first,
     as a fresh scan would; :meth:`consume` drops a burst the writer
     proved it wrote whole with no other mutation of the table.
+
+    The validated entries are also *staged* up to :data:`WINDOW_BURSTS`
+    bursts at a time (:meth:`_stage`): cut into bursts from the cursor,
+    each burst's pages sorted ascending by one row-wise sort, their swap
+    slots gathered at once and their slotless pages counted.  A pick
+    hands out its staged burst as :attr:`slots` and :attr:`slotless`
+    next to the pages; the staged slots stay the table's as long as
+    the epoch chain of consumed bursts holds, because a burst touches
+    only its own pages.
     """
 
     __slots__ = ("table", "_pages", "_keys", "_cursor", "_valid_end",
-                 "_epoch", "_picked")
+                 "_epoch", "_picked", "_base", "_n", "_rows", "_row_slots",
+                 "_row_slotless", "slots", "slotless")
 
     def __init__(self, table: PageTable) -> None:
         self.table = table
@@ -76,11 +86,17 @@ class OldestDirtyQueue:
         self._valid_end = self._pages.size
         self._epoch = t.epoch
         self._picked = 0
+        self._unstage()
         t.dirty_low_water = np.inf
 
     def pick(self, n: int) -> Optional[np.ndarray]:
         """The ``n`` oldest dirty-resident pages in ascending page order,
-        or ``None`` when the queue cannot prove that answer exact."""
+        or ``None`` when the queue cannot prove that answer exact.
+
+        The returned array is the queue's staged burst (read-only to
+        the caller); :attr:`slots` and :attr:`slotless` then hold its
+        swap slots and their count of ``-1`` at the table's current
+        epoch."""
         t = self.table
         if t.epoch != self._epoch or (
                 self._valid_end - self._cursor < n
@@ -88,14 +104,19 @@ class OldestDirtyQueue:
             self._validate(n)
         cursor = self._cursor
         hi = min(cursor + n, self._valid_end)
-        pick_p = self._pages[cursor:hi]
         low = t.dirty_low_water
         if hi > cursor and self._keys[hi - 1] >= low:
             return None  # a page outside the queue may sort first
-        if pick_p.size < n and low != np.inf:
+        if hi - cursor < n and low != np.inf:
             return None  # the queue ran dry; newer dirty pages may exist
-        self._picked = pick_p.size
-        return np.sort(pick_p)
+        row, off = divmod(cursor - self._base, n)
+        if off or n != self._n or row >= len(self._rows):
+            self._stage(n)
+            row = 0
+        self._picked = hi - cursor
+        self.slots = self._row_slots[row]
+        self.slotless = self._row_slotless[row]
+        return self._rows[row]
 
     def consume(self, epoch: int) -> None:
         """Drop the last pick: the writer wrote all of it, and ``epoch``
@@ -137,6 +158,39 @@ class OldestDirtyQueue:
         self._cursor = cursor
         self._valid_end = lo
         self._epoch = t.epoch
+        self._unstage()
+
+    def _unstage(self) -> None:
+        self._base = self._cursor
+        self._n = 0
+        self._rows = self._row_slots = self._row_slotless = ()
+
+    def _stage(self, n: int) -> None:
+        """Stage up to :data:`WINDOW_BURSTS` bursts of ``n`` validated
+        entries from the cursor: pages sorted ascending per burst (one
+        row-wise sort, as ``ReplacementPolicy._batched`` does), their
+        slots (one gather) and each burst's count of slotless pages.
+        Only a burst that ends the validated span can be short (or
+        empty, once the queue is used up)."""
+        slot = self.table.swap_slot
+        lo = self._cursor
+        hi = min(self._valid_end, lo + WINDOW_BURSTS * n)
+        full = lo + (hi - lo) // n * n
+        block = np.sort(self._pages[lo:full].reshape(-1, n), axis=1)
+        block_slots = slot[block]
+        rows = list(block)
+        slots = list(block_slots)
+        slotless = np.count_nonzero(block_slots < 0, axis=1).tolist()
+        if full < hi or lo == hi:
+            tail = np.sort(self._pages[full:hi])
+            rows.append(tail)
+            slots.append(slot[tail])
+            slotless.append(int(np.count_nonzero(slots[-1] < 0)))
+        self._base = lo
+        self._n = n
+        self._rows = rows
+        self._row_slots = slots
+        self._row_slotless = slotless
 
 
 class BackgroundWriter:
@@ -239,7 +293,8 @@ class BackgroundWriter:
                 # and returns how many it wrote, with the table's epoch
                 # when only this burst touched the table since the pick
                 written, epoch = yield from vmm.clean_batch(
-                    VictimBatch(pid, burst), PRIO_BACKGROUND, table.epoch)
+                    VictimBatch(pid, burst, queue.slots, queue.slotless),
+                    PRIO_BACKGROUND, table.epoch)
                 if epoch is not None:
                     queue.consume(epoch)
                 if not written:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import gc
 import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Hashable, Mapping, Optional, Sequence, Union
 
@@ -106,6 +106,37 @@ class GangConfig:
             f"{self.benchmark}.{self.klass}x{self.njobs}@{self.nprocs} "
             f"{self.mode}:{self.policy}"
         )
+
+    def cell_label(self) -> str:
+        """:meth:`label` plus the seed, the scale and every other field
+        that differs from its default (disk and fault fields by their
+        own name): short enough to read in a trace, and unique per
+        config.  Names a config-keyed cell under ``--obs``, in the
+        supervisor's event log, the journal and the cell cache."""
+        parts = [self.label(), f"seed={self.seed}", f"scale={self.scale!r}"]
+        for f in fields(self):
+            if f.name not in _IN_CELL_LABEL:
+                parts += _changed_fields(f.name, getattr(self, f.name),
+                                         f.default)
+        return " ".join(parts)
+
+
+#: GangConfig fields :meth:`GangConfig.cell_label` always shows
+_IN_CELL_LABEL = frozenset(("benchmark", "klass", "njobs", "nprocs", "mode",
+                            "policy", "seed", "scale"))
+
+
+def _changed_fields(name: str, value, default) -> list[str]:
+    """``name=value`` for a field that differs from ``default``; a
+    dataclass field is compared field by field."""
+    if value == default:
+        return []
+    if is_dataclass(value) and type(value) is type(default):
+        return [part for f in fields(value)
+                for part in _changed_fields(f"{name}.{f.name}",
+                                            getattr(value, f.name),
+                                            getattr(default, f.name))]
+    return [f"{name}={value!r}"]
 
 
 @dataclass

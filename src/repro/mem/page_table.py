@@ -58,6 +58,14 @@ queue does not hold with its current key therefore has
 ``last_ref >= dirty_low_water``; :meth:`evict`, :meth:`mark_clean` and
 :meth:`assign_slots` only remove pages from the set and leave the mark
 alone.
+
+The aggressive page-out's address cursor (:mod:`repro.core.aggressive`)
+needs the opposite bound: the lowest page that became resident since
+its last scan.  :meth:`make_resident` is the only mutator that makes a
+page resident, and it lowers :attr:`PageTable.made_resident_low`; a scan
+starts a watch with :meth:`watch_made_resident` and reads the mark back
+with :meth:`made_resident_since`, which answers 0 once another watch
+has reset the mark.
 """
 
 from __future__ import annotations
@@ -97,6 +105,11 @@ class PageTable:
         #: set or were re-stamped since the background writer reset it
         #: (see the module docstring); ``-inf`` until the first reset
         self.dirty_low_water = -np.inf
+        #: smallest page number :meth:`make_resident` flipped since the
+        #: current watch began (see :meth:`watch_made_resident`);
+        #: ``num_pages`` when none
+        self.made_resident_low = self.num_pages
+        self._watch = 0
         # O(1) resident-set size, maintained by make_resident/evict
         self._resident_count = 0
         # views cached at _views_epoch (fast path only)
@@ -269,6 +282,9 @@ class PageTable:
         if self.present[pages].any():
             raise ValueError("make_resident on already-resident page")
         self._lower_low_water(pages[self.swap_slot[pages] < 0])
+        low = int(pages.min())
+        if low < self.made_resident_low:
+            self.made_resident_low = low
         self.present[pages] = True
         self.dirty[pages] = False
         self.referenced[pages] = True
@@ -327,6 +343,20 @@ class PageTable:
             low = float(self.last_ref[entering].min())
             if low < self.dirty_low_water:
                 self.dirty_low_water = low
+
+    def watch_made_resident(self) -> int:
+        """Start a new watch of :attr:`made_resident_low`: reset the mark
+        to ``num_pages`` and return the token :meth:`made_resident_since`
+        takes.  Starting a watch ends every earlier one."""
+        self._watch += 1
+        self.made_resident_low = self.num_pages
+        return self._watch
+
+    def made_resident_since(self, token: int) -> int:
+        """Smallest page made resident since the watch ``token`` began,
+        ``num_pages`` if none — or 0 once a later watch has reset the
+        mark, since nothing is then known."""
+        return self.made_resident_low if token == self._watch else 0
 
     def clear_referenced(self, pages: np.ndarray | None = None) -> None:
         """Clear reference bits (a clock sweep step; no epoch bump —

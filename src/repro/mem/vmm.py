@@ -1021,14 +1021,15 @@ class VirtualMemoryManager:
             # Re-validate: drop victims that were evicted, exited or are
             # now part of an in-flight fault's demand set.  The fancy-
             # index copies are skipped when nothing went stale — the
-            # overwhelmingly common case on this hot path.
+            # overwhelmingly common case on this hot path — and with no
+            # demand in flight every demand count is zero, so the
+            # demand gather is skipped too.
             pages = batch.pages
             present = table.present[pages]
             if not present.all():
                 pages = pages[present]
-            counts = self._demand_counts[batch.pid]
-            if pages.size:
-                demanded = counts[pages]
+            if pages.size and self._active_demands:
+                demanded = self._demand_counts[batch.pid][pages]
                 if demanded.any():
                     pages = pages[demanded == 0]
             if pages.size == 0:
@@ -1054,7 +1055,7 @@ class VirtualMemoryManager:
                 self._c_pages_out.inc(to_write.size)
                 table.mark_clean(to_write)
 
-            if to_write.size:
+            if to_write.size and self._active_demands:
                 # A fault service may have started demanding some of
                 # these pages while the write was in flight; they were
                 # written (wasted I/O) but must stay resident.
@@ -1102,12 +1103,14 @@ class VirtualMemoryManager:
             table = self.tables.get(batch.pid)
             if table is None:
                 return 0, None  # process exited while we waited
-            pages, slots, proved = self._burst_to_write(table, batch, epoch)
+            pages, slots, proved, slotless = self._burst_to_write(
+                table, batch, epoch)
             if pages.size == 0:
                 return 0, None
-            no_slot = slots < 0
-            slotless = np.count_nonzero(no_slot)
             if slotless:
+                # ``slots`` is this burst's own array (a fresh gather or
+                # its staged row), so the new slots are filled in place
+                no_slot = slots < 0
                 new_slots = self.swap.allocate(slotless)
                 slots[no_slot] = new_slots
                 table.assign_slots(pages[no_slot], new_slots)
@@ -1125,13 +1128,17 @@ class VirtualMemoryManager:
 
     def _burst_to_write(self, table: PageTable, batch: VictimBatch,
                         epoch: int):
-        """``(pages, slots, proved)``: the burst pages to write now, their
-        current swap slots (a fresh array; ``-1`` where none) and whether
-        ``epoch`` still holds with no page dropped.
+        """``(pages, slots, proved, slotless)``: the burst pages to write
+        now, their current swap slots (``-1`` where none), whether
+        ``epoch`` still holds with no page dropped, and how many slots
+        are ``-1``.
 
         The present/dirty/slot re-validation runs only if ``table.epoch``
         moved since the pick; pages demanded by an in-flight fault are
-        always dropped, because demand is not in the epoch.
+        always dropped, because demand is not in the epoch.  While the
+        proof holds the slots the writer staged with the batch are the
+        table's (nothing but the writer's own earlier bursts touched the
+        table since it staged them), so they are used without a gather.
         """
         pages = batch.pages
         held = table.epoch == epoch
@@ -1141,12 +1148,15 @@ class VirtualMemoryManager:
         demanded = self._demand_counts[batch.pid][pages]
         if np.count_nonzero(demanded):
             pages = pages[demanded == 0]
+        proved = held and pages.size == batch.pages.size
+        if proved and batch.slots is not None:
+            return pages, batch.slots, True, batch.slotless
         slots = table.swap_slot[pages]
         if not held:
             needs_write = table.dirty[pages] | (slots < 0)
             pages = pages[needs_write]
             slots = slots[needs_write]
-        return pages, slots, held and pages.size == batch.pages.size
+        return pages, slots, proved, int(np.count_nonzero(slots < 0))
 
     # ------------------------------------------------------------------
     # helpers

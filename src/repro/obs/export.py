@@ -33,6 +33,11 @@ from repro.obs.registry import Registry, Span
 PHASE_ORDER = ("switch", "drain", "page_out", "page_in_prefetch",
                "demand_fill")
 
+#: name of the sweep observer's per-cell marker span (one ``[0,
+#: makespan)`` span per cell, so each cell gets a trace track): a
+#: marker, not a phase, so :func:`phase_breakdown` leaves it out
+CELL_MARKER = "cell"
+
 
 def _labels_dict(labels: tuple[tuple[str, str], ...]) -> dict[str, str]:
     return {k: str(v) for k, v in labels}
@@ -201,9 +206,10 @@ def phase_breakdown(source: Union[Registry, Iterable[Span]],
     ``share`` is each phase's total relative to the ``switch`` total
     when switch spans exist (so drain + page_out + page_in_prefetch
     decompose the switch), else relative to the grand total.  Returns
-    rows in :data:`PHASE_ORDER` then alphabetically.
+    rows in :data:`PHASE_ORDER` then alphabetically.  The sweep
+    observer's :data:`CELL_MARKER` spans are not phases and get no row.
     """
-    spans = _iter_spans(source)
+    spans = [s for s in _iter_spans(source) if s.name != CELL_MARKER]
     if run is not None:
         prefix = f"{run}/"
         spans = [s for s in spans
@@ -315,6 +321,7 @@ def load_spans(path: Union[str, Path]) -> list[Span]:
 
 
 __all__ = [
+    "CELL_MARKER",
     "PHASE_ORDER",
     "chrome_trace",
     "load_spans",

@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.export import summary as registry_summary
+from repro.obs.export import CELL_MARKER, summary as registry_summary
 from repro.obs.registry import Registry, Span
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,17 @@ def summary_of_snapshot(snap: dict) -> dict:
 # the sweep observer
 # ---------------------------------------------------------------------------
 
+def cell_label(key: Hashable) -> str:
+    """How a cell key is named in the merged trace, the supervisor's
+    event log, the journal and the cell cache: a string as it is, a key
+    with a ``cell_label()`` method (a ``GangConfig``) by that short
+    label, anything else by its repr."""
+    if isinstance(key, str):
+        return key
+    short = getattr(key, "cell_label", None)
+    return short() if callable(short) else repr(key)
+
+
 class SweepObserver:
     """Fold per-cell telemetry payloads into one sweep-level view.
 
@@ -148,7 +159,7 @@ class SweepObserver:
         return dict(self._summaries)
 
     def _prefix(self, key: Hashable) -> str:
-        base = key if isinstance(key, str) else repr(key)
+        base = cell_label(key)
         n = self._prefix_counts.get(base, 0)
         self._prefix_counts[base] = n + 1
         return base if n == 0 else f"{base}#{n + 1}"
@@ -177,7 +188,7 @@ class SweepObserver:
         end = result.get("makespan")
         end = float(end) if isinstance(end, (int, float)) else 0.0
         self.registry.spans.append(
-            Span("cell", track, 0.0, end, {"key": prefix}))
+            Span(CELL_MARKER, track, 0.0, end, {"key": prefix}))
         cell_summary = perf.get("obs")
         if not isinstance(cell_summary, dict):
             cell_summary = summary_of_snapshot(snap)
@@ -227,7 +238,8 @@ class SweepEventLog:
 
     Every entry carries ``seq`` (monotonic), ``t`` (host epoch
     seconds), ``event``, and — for cell-scoped events — ``key`` (the
-    cell key's repr) and ``attempt`` (failed attempts charged so far),
+    cell key's :func:`cell_label`) and ``attempt`` (failed attempts
+    charged so far),
     plus event-specific detail fields.  Event names emitted by the
     supervisor: ``sweep_begin``, ``persistent_begin``, ``resumed``,
     ``retry``, ``grace_extension``, ``hung_kill``, ``worker_respawn``,
@@ -255,7 +267,7 @@ class SweepEventLog:
         entry: dict = {"seq": len(self.entries), "t": time.time(),
                        "event": event}
         if key is not None:
-            entry["key"] = key if isinstance(key, str) else repr(key)
+            entry["key"] = cell_label(key)
         if attempt is not None:
             entry["attempt"] = int(attempt)
         entry.update(detail)
@@ -450,6 +462,7 @@ __all__ = [
     "ProgressTicker",
     "SweepEventLog",
     "SweepObserver",
+    "cell_label",
     "get_default_sweep",
     "load_events",
     "merge_summaries",

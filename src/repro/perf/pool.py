@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+from repro.obs.sweep import cell_label
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -203,7 +205,7 @@ def run_cells(
         for (i, cell), result in zip(todo, fresh):
             results[i] = result
             if cache is not None:
-                cache.put(prints[i], result, label=repr(cell.key))
+                cache.put(prints[i], result, label=cell_label(cell.key))
 
     merged = dict(zip(keys, results))
     if sweep_obs is not None:

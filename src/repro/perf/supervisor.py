@@ -83,7 +83,7 @@ from pathlib import Path
 from typing import Any, Hashable, Optional
 
 from repro.faults.worker import WorkerFaultPlan
-from repro.obs.sweep import ProgressTicker, SweepEventLog
+from repro.obs.sweep import ProgressTicker, SweepEventLog, cell_label
 from repro.perf.journal import DEFAULT_JOURNAL_DIR, SweepJournal, sweep_id
 from repro.perf.pool import Cell, _check_cells
 
@@ -215,11 +215,11 @@ class _SweepBook:
             if isinstance(ev, (int, float)):
                 self.ticker.add_events(ev)
         if self.cache is not None:
-            self.cache.put(st.fp, result, label=repr(st.cell.key))
+            self.cache.put(st.fp, result, label=cell_label(st.cell.key))
         if self.store is not None and self.store is not self.cache:
-            self.store.put(st.fp, result, label=repr(st.cell.key))
+            self.store.put(st.fp, result, label=cell_label(st.cell.key))
         if self.journal is not None and st.fp not in self.journaled:
-            self.journal.record_done(st.fp, repr(st.cell.key),
+            self.journal.record_done(st.fp, cell_label(st.cell.key),
                                      attempts=st.attempts + 1,
                                      wall_s=wall)
             self.journaled.add(st.fp)
@@ -266,7 +266,7 @@ class _SweepBook:
             }
         }
         if self.journal is not None:
-            self.journal.record_failed(st.fp, repr(st.cell.key),
+            self.journal.record_failed(st.fp, cell_label(st.cell.key),
                                        attempts=st.attempts,
                                        error=st.errors[-1])
 
@@ -379,7 +379,7 @@ class Supervisor:
                     results[i] = hit
                     settled[i] = True
                     if journal is not None and prints[i] not in journaled:
-                        journal.record_done(prints[i], repr(cell.key),
+                        journal.record_done(prints[i], cell_label(cell.key),
                                             attempts=0, wall_s=0.0)
                         journaled.add(prints[i])
 

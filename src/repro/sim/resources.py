@@ -93,6 +93,13 @@ class Resource:
     def request(self, priority: float = 0.0) -> Request:
         """Ask for a slot; the returned event fires when granted."""
         req = Request(self, priority)
+        if self._in_use < self.capacity and not self._waiting:
+            # uncontended: the heap round trip below would pop this
+            # request straight back out and grant it the same way
+            req.granted = True
+            self._in_use += 1
+            req.succeed(req)
+            return req
         heapq.heappush(self._waiting, (self._sort_key(req), next(self._seq), req))
         self._grant()
         return req
@@ -106,7 +113,8 @@ class Resource:
             raise SimulationError("request released twice")
         request.cancelled = True  # reuse flag to catch double release
         self._in_use -= 1
-        self._grant()
+        if self._waiting:
+            self._grant()
 
     # -- internals ---------------------------------------------------------
     def _purge_cancelled(self) -> None:

@@ -251,3 +251,77 @@ def test_cli_cache_stats_hit_rate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "hit rate: 67% lifetime (2 hits / 3 lookups, " \
            "1 stores, 0 corrupt)" in out
+
+
+# ---------------------------------------------------------------------------
+# cell markers and cell labels in what --obs prints and exports
+# ---------------------------------------------------------------------------
+
+def test_cell_markers_stay_out_of_the_phase_table():
+    from repro.obs import Registry, phase_breakdown, render_phase_table
+
+    sweep = SweepObserver()
+    run_cells(_cells(2), jobs=1, sweep_obs=sweep)
+    reg = Registry()
+    reg.merge(sweep.registry)
+    # each cell left one marker span next to its switch span
+    assert sum(s.name == "cell" for s in reg.spans) == 2
+    rows = phase_breakdown(reg)
+    assert [r["phase"] for r in rows] == ["switch"]
+    assert rows[0]["share"] == 1.0
+    assert "cell" not in render_phase_table(rows)
+
+
+def test_obs_sweep_prints_no_cell_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["replicate", "--scale", "0.05", "--seeds", "1", "--obs"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    table = out[out.index("Switch-phase breakdown"):]
+    phases = [line.split()[0] for line in table.splitlines()[4:] if line]
+    assert "switch" in phases and "cell" not in phases
+
+
+def test_fig7_obs_trace_names_cells_by_short_unique_labels(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    trace = tmp_path / "f7.trace.json"
+    rc = main(["run", "fig7", "--scale", "0.02", "--obs",
+               "--trace-out", str(trace)])
+    assert rc == 0
+    doc = json.loads(trace.read_text())
+    procs = [e["args"]["name"] for e in doc["traceEvents"]
+             if e.get("ph") == "M" and e["name"] == "process_name"]
+    assert len(procs) == 15  # 5 benchmarks x batch, lru, so/ao/ai/bg
+    assert len(set(procs)) == len(procs)
+    assert max(len(p) for p in procs) <= 80
+    assert not any("GangConfig(" in p for p in procs)
+
+
+def test_cell_label_is_unique_per_config():
+    from dataclasses import replace
+
+    from repro.disk import DiskParams
+    from repro.experiments import GangConfig
+    from repro.faults import FaultRates
+    from repro.obs.sweep import cell_label
+
+    base = GangConfig("CG", "B", policy="so/ao/ai/bg", seed=3, scale=0.2)
+    assert cell_label(base) == "CG.Bx2@1 gang:so/ao/ai/bg seed=3 scale=0.2"
+    variants = [
+        base,
+        replace(base, seed=4),
+        replace(base, scale=0.25),
+        replace(base, quantum_s=60.0),
+        replace(base, memory_mb=200.0),
+        replace(base, max_events=1000),
+        replace(base, disk=DiskParams(seek_distance_coef_s=1e-5)),
+        replace(base, faults=FaultRates(disk_error_rate=0.1)),
+        replace(base, faults=FaultRates(record_loss_rate=0.1)),
+    ]
+    labels = [cell_label(c) for c in variants]
+    assert len(set(labels)) == len(labels)
+    assert "faults.disk_error_rate=0.1" in labels[7]
+    # keys that are not configs keep their old names
+    assert cell_label("bad") == "bad"
+    assert cell_label((1, "lru")) == "(1, 'lru')"
