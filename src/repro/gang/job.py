@@ -169,11 +169,7 @@ class JobProcess:
         d0 = phase.cpu_s * slowdown
         batch = vmm.fastpath_quiescent()
         if batch:
-            bg = ap.bgwriter
-            batch = bg is None or not bg.active
-        if batch:
-            deadline = ap.bg_arm_at if ap.bg_arm_at < ap.run_cap_at \
-                else ap.run_cap_at
+            deadline = _fastpath.window_deadline(ap)
             t = t0 + d0
             batch = t < deadline
         if not batch:

@@ -78,6 +78,44 @@ def _segment_sums(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return acc[offsets[1:]] - acc[offsets[:-1]]
 
 
+class EagerWindow:
+    """The local clock of one batch-advance pass (see
+    :meth:`VirtualMemoryManager._open_window`).
+
+    Effects applied inside the window are committed at ``t`` without
+    dispatching events, and only while they end strictly before
+    ``deadline``, the next instant another actor may observe the node.
+    """
+
+    __slots__ = ("env", "t", "deadline")
+
+    def __init__(self, env: Environment, deadline: float) -> None:
+        self.env = env
+        self.t = env.now
+        self.deadline = deadline
+
+    def fits(self, dt: float) -> bool:
+        """Whether an effect lasting ``dt`` ends before the deadline."""
+        return self.t + dt < self.deadline
+
+    def delay(self, dt: float) -> None:
+        """Advance the clock by ``dt``: one absorbed timeout."""
+        self.t += dt
+        self.env.events_absorbed += 1
+
+
+def _closed(fragment):
+    """Run a process fragment that must not yield to its end and return
+    its value.  Inside an :class:`EagerWindow` nothing may dispatch, so
+    a fragment that yields an event is a bug, not a hand-back."""
+    try:
+        fragment.send(None)
+    except StopIteration as stop:
+        return stop.value
+    fragment.close()
+    raise RuntimeError("a process fragment yielded inside an eager window")
+
+
 class VirtualMemoryManager:
     """Demand-paged virtual memory for one node.
 
@@ -149,11 +187,8 @@ class VirtualMemoryManager:
         #: deadline publisher for batch-advance — the node's
         #: AdaptivePaging, wired by the schedulers' start() (and only
         #: there: a bare VMM driven by unit tests keeps the scalar
-        #: path, whose interleavings those tests rely on).  Batch-advance
-        #: may only commit events strictly before
-        #: min(bg_arm_at, run_cap_at): at either deadline another
-        #: actor (background writer, gang switch) wakes and may
-        #: observe page state.
+        #: path, whose interleavings those tests rely on); read through
+        #: repro.sim.fastpath.window_deadline
         self.deadlines = None
 
         # telemetry (no-ops against the default NULL_OBS registry);
@@ -304,18 +339,19 @@ class VirtualMemoryManager:
                     table, absent, self.params.readahead_pages
                 )
                 done = 0
-                if self._eager_entry_ok():
-                    done, t_end, efilled, exc = self._advance_eager(
-                        table, pid, plan
+                window = self._open_window()
+                if window is not None:
+                    done, efilled, exc = self._advance_eager(
+                        table, pid, plan, window
                     )
                     if self._obs_on:
                         filled += efilled
-                    if t_end > self.env.now:
+                    if window.t > self.env.now:
                         # the resync wakeup stands in for the last
                         # absorbed completion trigger (the scalar path
                         # would have woken us at exactly this instant)
                         self.env.events_absorbed -= 1
-                        yield self.env.timeout_at(t_end)
+                        yield self.env.timeout_at(window.t)
                     if exc is not None:
                         raise exc
                 bounds = plan.bounds.tolist()
@@ -397,8 +433,9 @@ class VirtualMemoryManager:
     # ------------------------------------------------------------------
     # batch-advance (see repro.sim.fastpath)
     # ------------------------------------------------------------------
-    def _eager_entry_ok(self) -> bool:
-        """Whether a demand fill may be advanced eagerly.
+    def _open_window(self) -> Optional[EagerWindow]:
+        """An :class:`EagerWindow` for the one demand fill in flight, or
+        ``None`` when the fill must dispatch.
 
         Batch-advance replays a fill's event sequence
         synchronously under a local clock, so it is sound only while a
@@ -414,52 +451,47 @@ class VirtualMemoryManager:
         * the eviction lock is free and uncontended;
         * the disk is idle with FIFO discipline and no fault plan
           (injection points are interaction boundaries);
-        * the background writer is not actively cleaning.
+        * the background writer is not actively cleaning, and the
+          published deadline lies ahead
+          (:func:`repro.sim.fastpath.window_deadline`).
         """
-        if not _fastpath.ENABLED:
-            return False
         dl = self.deadlines
-        if dl is None:
-            return False
+        if not _fastpath.ENABLED or dl is None:
+            return None
         lock = self._evict_lock
         if (len(self._active_demands) != 1
                 or lock.in_use != 0
                 or lock.queue_length != 0
                 or not self.disk.eager_ready()):
-            return False
-        bg = dl.bgwriter
-        return bg is None or not bg.active
+            return None
+        deadline = _fastpath.window_deadline(dl)
+        if not self.env.now < deadline:
+            return None
+        return EagerWindow(self.env, deadline)
 
-    def _advance_eager(self, table, pid: int, plan):
-        """Apply a prefix of ``plan``'s groups synchronously with a local
-        clock.
+    def _advance_eager(self, table, pid: int, plan, window: EagerWindow):
+        """Apply a prefix of ``plan``'s groups inside ``window``.
 
         Replays, op for op, what the scalar loop in :meth:`touch` would
         have committed — same service times, statistics, telemetry and
         hook timestamps — without dispatching any events; the events it
         stands in for are tallied on ``env.events_absorbed``.  Runs of
         read groups are committed whole by :meth:`_eager_read_run`;
-        zero-fill groups and reclaim steps go one at a time.  Stops at
-        the first group whose service cannot provably finish strictly
-        before the published deadline (the caller's scalar loop resumes
-        there after one resync timeout).
+        zero-fill groups go one at a time, and reclaim runs the scalar
+        :meth:`_ensure_frames` with the window.  Stops at the first
+        group whose service cannot provably finish strictly before the
+        window's deadline (the caller's scalar loop resumes there after
+        one resync timeout at ``window.t``).
 
-        Returns ``(done, t_end, filled, exc)``: groups committed, the
-        local clock, pages read (for the demand-fill span) and a
-        pending :class:`OutOfFramesError` to re-raise *after* the
-        resync (the scalar path raises it at exactly that instant).
+        Returns ``(done, filled, exc)``: groups committed, pages read
+        (for the demand-fill span) and a pending
+        :class:`OutOfFramesError` to re-raise *after* the resync (the
+        scalar path raises it at exactly that instant).
         """
-        env = self.env
         params = self.params
         frames = self.frames
-        dl = self.deadlines
-        deadline = dl.bg_arm_at if dl.bg_arm_at < dl.run_cap_at \
-            else dl.run_cap_at
-        t = env.now
         done = 0
         filled = 0
-        if not t < deadline:
-            return 0, t, 0, None
         bounds = plan.bounds.tolist()
         read = plan.read.tolist()
         n = len(read)
@@ -470,14 +502,13 @@ class VirtualMemoryManager:
             # make pages resident inside a closed eager pass
             if frames.free < size or frames.below_min(size):
                 try:
-                    ok, t = self._eager_ensure(size, t, deadline)
+                    if not _closed(self._ensure_frames(size, window=window)):
+                        break
                 except OutOfFramesError as exc:
-                    return done, t, filled, exc
-                if not ok:
-                    break
+                    return done, filled, exc
             if read[done]:
-                ngroups, t, npages = self._eager_read_run(
-                    table, pid, plan, done, t, deadline
+                ngroups, window.t, npages = self._eager_read_run(
+                    table, pid, plan, done, window.t, window.deadline
                 )
                 if not ngroups:
                     break
@@ -485,20 +516,18 @@ class VirtualMemoryManager:
                 filled += npages
                 continue
             delay = size * params.minor_fault_s
-            t2 = t + delay
-            if delay > 0 and not t2 < deadline:
-                break
+            if delay > 0:
+                if not window.fits(delay):
+                    break
+                window.delay(delay)
             frames.allocate(size)
             self.stats.minor_faults += size
             self._c_minor.inc(size)
-            if delay > 0:
-                t = t2
-                env.events_absorbed += 1
             gpages = plan.pages[bounds[done]:bounds[done + 1]]
             table.make_resident(gpages)
-            table.set_last_ref(gpages, t)
+            table.set_last_ref(gpages, window.t)
             done += 1
-        return done, t, filled, None
+        return done, filled, None
 
     def _eager_read_run(self, table, pid: int, plan, start: int,
                         t: float, deadline: float):
@@ -571,13 +600,7 @@ class VirtualMemoryManager:
         self.stats.pages_swapped_in += total
         self._c_major.inc(m)
         self._c_pages_in.inc(total)
-        if pid in self._ever_evicted:
-            evicted = self._evicted_at[pid][all_pages]
-            recent = np.repeat(t_c, sizes) - evicted < self.refault_window_s
-            nref = int(np.count_nonzero(recent))
-            self.stats.refaults += nref
-            if nref:
-                self._c_refaults.inc(nref)
+        self._count_refaults(pid, all_pages, now=np.repeat(t_c, sizes))
         self.disk.commit_eager_run(
             sizes, durations[:m], seeks[:m], acc[0:2 * m:2], t_c, "read",
             PRIO_FOREGROUND, pid=pid,
@@ -587,96 +610,6 @@ class VirtualMemoryManager:
         table.make_resident(all_pages)
         table.set_last_ref_values(all_pages, np.repeat(waiters, sizes))
         return m, float(waiters[-1]), total
-
-    def _eager_ensure(self, incoming: int, t: float, deadline: float):
-        """Eager mirror of :meth:`_ensure_frames`.
-
-        Returns ``(ok, t)``.  Reclaim episodes are committed whole or
-        not started: ``stats.reclaim_episodes`` is identity-compared,
-        so the only safe stop is *between* episodes, guarded by a
-        whole-episode duration bound — under the flat-seek model each
-        evicted page costs at most one positioning plus one transfer
-        plus the per-request overhead, and an episode never evicts
-        more than its deficit.  ``(False, t)`` means the scalar loop
-        must take over before the next episode.
-        """
-        frames = self.frames
-        params = self.disk.params
-        per_page = (params.overhead_s + params.positioning_s
-                    + params.page_transfer_s)
-        stale_retries = 0
-        while True:
-            if (frames.free >= incoming
-                    and not frames.below_min(incoming)):
-                return True, t
-            deficit = frames.deficit_to_high(incoming)
-            if not t + deficit * per_page < deadline:
-                return False, t
-            progress, t = self._eager_reclaim_episode(deficit, t)
-            if progress > 0:
-                stale_retries = 0
-                continue
-            if frames.free >= incoming:
-                return True, t
-            if self._reclaim_saw_candidates:
-                # unreachable with the shipped policies (a closed pass
-                # cannot make victims go stale), but mirrored from
-                # _ensure_frames for safety: back off one positioning
-                # time and retry
-                stale_retries += 1
-                if stale_retries > 100_000:
-                    raise OutOfFramesError(
-                        f"livelock: need {incoming} frames, "
-                        f"{frames.free} free after "
-                        f"{stale_retries} stale reclaim rounds"
-                    )
-                t2 = t + params.positioning_s
-                if not t2 < deadline:
-                    return False, t
-                t = t2
-                self.env.events_absorbed += 1
-                continue
-            raise OutOfFramesError(
-                f"need {incoming} frames, {frames.free} free, "
-                "and nothing is evictable"
-            )
-
-    def _eager_reclaim_episode(self, count: int, t: float):
-        """One :meth:`reclaim` episode applied eagerly.
-
-        Same selector calls, same batch walk, same statistics — the
-        per-batch lock acquisition and disk writes are absorbed instead
-        of dispatched.  Returns ``(progress, t)``.
-        """
-        self.stats.reclaim_episodes += 1
-        remaining = count
-        total = 0
-        self._reclaim_saw_candidates = False
-        while remaining > 0:
-            selector = self.victim_selector or self.policy.select_victims
-            batches = selector(
-                self.tables, remaining, self.params.swap_cluster,
-                self._active_protect(None),
-            )
-            if not batches:
-                break
-            self._reclaim_saw_candidates = True
-            progress, t = self._eager_evict_batches(batches, t)
-            if progress == 0:
-                break
-            remaining -= progress
-            total += progress
-        return total, t
-
-    def _eager_evict_batches(self, batches, t: float):
-        """Apply one selector call's victim batches, one same-pid span
-        at a time through :meth:`_eager_evict_span`.  Returns
-        ``(progress, t)``."""
-        progress = 0
-        for pid, span in groupby(batches, key=attrgetter("pid")):
-            p, t = self._eager_evict_span(pid, list(span), t)
-            progress += p
-        return progress, t
 
     def _eager_evict_span(self, pid: int, span, t: float):
         """Eager mirror of consecutive same-pid :meth:`evict_batch`
@@ -913,7 +846,8 @@ class VirtualMemoryManager:
             for pid, arrs in merged.items()
         }
 
-    def _ensure_frames(self, incoming: int):
+    def _ensure_frames(self, incoming: int, *,
+                       window: Optional[EagerWindow] = None):
         """Process fragment: reclaim until ``incoming`` frames can be
         allocated without breaching the ``freepages.min`` watermark.
 
@@ -922,20 +856,37 @@ class VirtualMemoryManager:
         reclaimer may steal our selected victims (stale batches) — in
         that case the world is still making progress, so back off for
         one disk-positioning time and retry rather than giving up.
+
+        Inside a ``window`` nothing is dispatched and the fragment never
+        yields.  Reclaim episodes are then committed whole or not begun:
+        ``stats.reclaim_episodes`` is identity-compared, so the only
+        safe stop is *between* episodes, guarded by a whole-episode
+        duration bound — under the flat-seek model each evicted page
+        costs at most one positioning plus one transfer plus the
+        per-request overhead, and an episode never evicts more than its
+        deficit.  Returns ``False`` when the window must hand back to
+        dispatch before the next episode or back-off, else ``True``.
         """
+        params = self.disk.params
         stale_retries = 0
         while True:
             if (self.frames.free >= incoming
                     and not self.frames.below_min(incoming)):
-                return
+                return True
             deficit = self.frames.deficit_to_high(incoming)
-            progress = yield from self.reclaim(deficit)
+            if window is not None and not window.fits(deficit * (
+                    params.overhead_s + params.positioning_s
+                    + params.page_transfer_s)):
+                return False
+            progress = yield from self.reclaim(deficit, window=window)
             if progress > 0:
                 stale_retries = 0
                 continue
             if self.frames.free >= incoming:
-                return  # cannot reach the watermark, but we fit
+                return True  # cannot reach the watermark, but we fit
             if self._reclaim_saw_candidates:
+                # unreachable inside a window with the shipped policies
+                # (a closed pass cannot make victims go stale)
                 stale_retries += 1
                 if stale_retries > 100_000:
                     raise OutOfFramesError(
@@ -943,7 +894,12 @@ class VirtualMemoryManager:
                         f"{self.frames.free} free after "
                         f"{stale_retries} stale reclaim rounds"
                     )
-                yield self.env.timeout(self.disk.params.positioning_s)
+                if window is None:
+                    yield self.env.timeout(params.positioning_s)
+                elif window.fits(params.positioning_s):
+                    window.delay(params.positioning_s)
+                else:
+                    return False
                 continue
             raise OutOfFramesError(
                 f"need {incoming} frames, {self.frames.free} free, "
@@ -952,12 +908,15 @@ class VirtualMemoryManager:
 
     def reclaim(self, count: int,
                 protect: Optional[Mapping[int, np.ndarray]] = None,
-                priority: int = PRIO_FOREGROUND):
+                priority: int = PRIO_FOREGROUND, *,
+                window: Optional[EagerWindow] = None):
         """Process fragment: evict ~``count`` pages via the active policy.
 
         Pages belonging to any in-flight fault service are always
         protected, in addition to the caller-supplied ``protect`` map.
-        Returns the number of pages evicted.
+        Returns the number of pages evicted.  Inside a ``window`` each
+        same-pid span of a selector call's batches is committed by
+        :meth:`_eager_evict_span` at ``window.t`` instead of dispatched.
         """
         if count <= 0:
             return 0
@@ -975,8 +934,14 @@ class VirtualMemoryManager:
                 break  # nothing evictable (all resident pages protected)
             self._reclaim_saw_candidates = True
             progress = 0
-            for batch in batches:
-                progress += yield from self.evict_batch(batch, priority)
+            if window is None:
+                for batch in batches:
+                    progress += yield from self.evict_batch(batch, priority)
+            else:
+                for pid, span in groupby(batches, key=attrgetter("pid")):
+                    evicted, window.t = self._eager_evict_span(
+                        pid, list(span), window.t)
+                    progress += evicted
             if progress == 0:
                 # victims went stale (a concurrent reclaim consumed
                 # them first); the caller decides whether to retry
@@ -1135,19 +1100,22 @@ class VirtualMemoryManager:
 
         The present/dirty/slot re-validation runs only if ``table.epoch``
         moved since the pick; pages demanded by an in-flight fault are
-        always dropped, because demand is not in the epoch.  While the
-        proof holds the slots the writer staged with the batch are the
-        table's (nothing but the writer's own earlier bursts touched the
-        table since it staged them), so they are used without a gather.
+        always dropped, because demand is not in the epoch (with no
+        demand in flight every demand count is zero, as in
+        :meth:`evict_batch`).  While the proof holds the slots the
+        writer staged with the batch are the table's (nothing but the
+        writer's own earlier bursts touched the table since it staged
+        them), so they are used without a gather.
         """
         pages = batch.pages
         held = table.epoch == epoch
         if not held:
             pages = pages[table.present[pages]]
-        # count_nonzero: far cheaper than .any() on a burst this small
-        demanded = self._demand_counts[batch.pid][pages]
-        if np.count_nonzero(demanded):
-            pages = pages[demanded == 0]
+        if self._active_demands:
+            # count_nonzero: far cheaper than .any() on a burst this small
+            demanded = self._demand_counts[batch.pid][pages]
+            if np.count_nonzero(demanded):
+                pages = pages[demanded == 0]
         proved = held and pages.size == batch.pages.size
         if proved and batch.slots is not None:
             return pages, batch.slots, True, batch.slotless
@@ -1162,7 +1130,10 @@ class VirtualMemoryManager:
     # helpers
     # ------------------------------------------------------------------
     def _count_refaults(self, pid: int, pages: np.ndarray,
-                        now: Optional[float] = None) -> None:
+                        now: Optional[float | np.ndarray] = None) -> None:
+        """Count the ``pages`` swapped in at ``now`` (default: the
+        current time; or one completion time per page) within the
+        refault window of their last eviction."""
         if pid not in self._ever_evicted:
             return  # nothing evicted yet: no gather needed
         if now is None:

@@ -29,9 +29,10 @@ from typing import Iterable, Optional, Union
 
 from repro.obs.registry import Registry, Span
 
+#: the switch span and the phases that split it
+SWITCH_PHASES = ("switch", "drain", "page_out", "page_in_prefetch")
 #: Canonical ordering of the switch-phase spans in reports.
-PHASE_ORDER = ("switch", "drain", "page_out", "page_in_prefetch",
-               "demand_fill")
+PHASE_ORDER = SWITCH_PHASES + ("demand_fill",)
 
 #: name of the sweep observer's per-cell marker span (one ``[0,
 #: makespan)`` span per cell, so each cell gets a trace track): a
@@ -205,7 +206,9 @@ def phase_breakdown(source: Union[Registry, Iterable[Span]],
 
     ``share`` is each phase's total relative to the ``switch`` total
     when switch spans exist (so drain + page_out + page_in_prefetch
-    decompose the switch), else relative to the grand total.  Returns
+    decompose the switch), else relative to the grand total.  A phase
+    outside the switch, such as ``demand_fill``, has no share of it:
+    its ``share`` is ``None`` when switch spans exist.  Returns
     rows in :data:`PHASE_ORDER` then alphabetically.  The sweep
     observer's :data:`CELL_MARKER` spans are not phases and get no row.
     """
@@ -223,11 +226,16 @@ def phase_breakdown(source: Union[Registry, Iterable[Span]],
         if s.duration > row["max_s"]:
             row["max_s"] = s.duration
     base = agg.get("switch", {}).get("total_s", 0.0)
+    shared = SWITCH_PHASES
     if base <= 0.0:
         base = sum(r["total_s"] for r in agg.values())
+        shared = agg
     for row in agg.values():
         row["mean_s"] = row["total_s"] / row["count"] if row["count"] else 0.0
-        row["share"] = row["total_s"] / base if base > 0 else 0.0
+        if row["phase"] not in shared:
+            row["share"] = None
+        else:
+            row["share"] = row["total_s"] / base if base > 0 else 0.0
     order = {name: i for i, name in enumerate(PHASE_ORDER)}
     return sorted(
         agg.values(),
@@ -243,7 +251,7 @@ def render_phase_table(rows: list[dict],
     body = [
         (r["phase"], r["count"], f"{r['total_s']:.2f}",
          f"{r['mean_s']:.3f}", f"{r['max_s']:.3f}",
-         f"{100.0 * r['share']:.1f}%")
+         "" if r["share"] is None else f"{100.0 * r['share']:.1f}%")
         for r in rows
     ]
     # Imported lazily: repro.metrics pulls in the scheduler stack, which

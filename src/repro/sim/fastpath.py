@@ -8,13 +8,14 @@ change any simulated outcome:
   into a single CPU timeout (:mod:`repro.gang.job`);
 * the fault path folds the per-group major-fault CPU charge into the
   disk request's completion trigger instead of a separate timeout;
-* **batch-advance**: inside a demand fill the VMM detects runs of
-  same-type, non-interacting events (sequential disk read groups,
-  zero-fill delays, reclaim write batches) and applies their entire
-  effect synchronously with a local clock, re-entering the event loop
-  with a single resync timeout at the run's exact end time (see
-  ``VirtualMemoryManager._advance_eager``).  The events the run
-  *would* have dispatched are tallied on
+* **batch-advance**: a demand fill that holds the closed-system proof
+  opens one eager window (``repro.mem.vmm.EagerWindow``: a local clock
+  valid strictly before :func:`window_deadline`) and applies its read
+  groups, zero-fill delays and reclaim write batches synchronously on
+  that clock, re-entering the event loop with a single resync timeout
+  at the window's exact end time.  Reclaim inside the window is the
+  scalar reclaim loop itself, driven so that it may not yield.  The
+  events the window *would* have dispatched are tallied on
   ``Environment.events_absorbed``, so ``events_simulated`` stays
   comparable across modes.
 
@@ -42,6 +43,8 @@ half-switched run would mix event structures).
 
 from __future__ import annotations
 
+import math
+
 #: Module-level switch consulted by the hot paths.  Mutate only through
 #: :func:`set_fast_path_enabled`.
 ENABLED = True
@@ -58,8 +61,25 @@ def fast_path_enabled() -> bool:
     return ENABLED
 
 
+def window_deadline(published) -> float:
+    """The instant before which batched work on a node must end.
+
+    ``published`` is the node's deadline publisher (its
+    ``AdaptivePaging``): at ``bg_arm_at`` the background writer arms
+    and at ``run_cap_at`` the gang switch wakes, and either may observe
+    page state.  A writer that is cleaning may wake at any instant, so
+    then nothing may be batched and the deadline is ``-inf``.
+    """
+    bg = published.bgwriter
+    if bg is not None and bg.active:
+        return -math.inf
+    arm, cap = published.bg_arm_at, published.run_cap_at
+    return arm if arm < cap else cap
+
+
 __all__ = [
     "ENABLED",
     "fast_path_enabled",
     "set_fast_path_enabled",
+    "window_deadline",
 ]

@@ -345,12 +345,13 @@ def test_demanded_page_dropped_from_a_burst_is_picked_again_first():
     q = OldestDirtyQueue(t)
     burst = q.pick(8)
     np.testing.assert_array_equal(burst, np.arange(8))
-    vmm._demand_counts[1][3] += 1  # an in-flight fault wants page 3
+    fault = (1, np.array([3]))
+    vmm._add_demand(fault)  # an in-flight fault wants page 3
     written, epoch = write_burst(env, vmm, q, burst)
     assert written == 7
     assert epoch is None  # not the whole burst: the queue keeps it
     assert t.dirty[3] and not t.dirty[[0, 1, 2, 4, 5, 6, 7]].any()
-    vmm._demand_counts[1][3] -= 1
+    vmm._remove_demand(fault)
     burst = q.pick(8)  # no refill needed
     np.testing.assert_array_equal(burst, [3, 8, 9, 10, 11, 12, 13, 14])
     np.testing.assert_array_equal(burst, scan_pick(t, 8))
@@ -436,12 +437,12 @@ def test_writer_counts_only_pages_written():
     env, disk, vmm = make_node()
     vmm.register_process(1, 64)
     dirty_pages(env, vmm, 1, np.arange(16))
-    demand = vmm._demand_counts[1]
-    demand[[2, 5]] += 1  # a fault wants them while the first burst runs
+    fault = (1, np.array([2, 5]))
+    vmm._add_demand(fault)  # a fault wants them while the first burst runs
 
     def fault_done():
         yield env.timeout(1e-4)
-        demand[[2, 5]] -= 1
+        vmm._remove_demand(fault)
     env.process(fault_done())
     bw = BackgroundWriter(vmm, batch_pages=8, poll_s=0.5)
     bw.start(1)
@@ -491,13 +492,13 @@ def test_writer_backs_off_while_a_fault_demands_every_dirty_page():
     env, disk, vmm = make_node()
     vmm.register_process(1, 64)
     dirty_pages(env, vmm, 1, np.arange(8))
-    demand = vmm._demand_counts[1]
-    demand[:8] += 1
+    fault = (1, np.arange(8))
+    vmm._add_demand(fault)
     t_fault_done = env.now + 2.0
 
     def fault_done():
         yield env.timeout_at(t_fault_done)
-        demand[:8] -= 1
+        vmm._remove_demand(fault)
     env.process(fault_done())
     bw = BackgroundWriter(vmm, batch_pages=8, poll_s=0.5)
     bw.start(1)

@@ -327,10 +327,11 @@ def test_demanded_page_in_a_staged_burst_is_gathered_fresh():
     env, disk, vmm, t, q = make_queued_node()
     burst = q.pick(8)
     staged = q.slots
-    vmm._demand_counts[1][burst[3]] += 1
+    fault = (1, burst[3:4])
+    vmm._add_demand(fault)
     pages, slots, proved, slotless = vmm._burst_to_write(
         t, VictimBatch(1, burst, q.slots, q.slotless), t.epoch)
-    vmm._demand_counts[1][burst[3]] -= 1
+    vmm._remove_demand(fault)
     assert not proved and slots is not staged
     np.testing.assert_array_equal(pages, np.delete(burst, 3))
     assert slotless == 7

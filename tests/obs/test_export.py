@@ -217,3 +217,24 @@ def test_render_counter_table_prefix_filter():
     # nothing matches -> sentinel text
     empty = render_counter_table(reg, prefixes=("nope_",))
     assert empty.endswith("<no matching counters>")
+
+
+def test_phase_outside_the_switch_gets_no_share():
+    # demand fills run after the switch, not inside it: as a share of
+    # the switch total this one would read 2268.0%
+    reg = Registry()
+    reg.begin_run("cell")
+    reg.span("switch", "scheduler", 0.0, 3.0)
+    reg.span("page_out", "n0", 0.0, 1.0)
+    reg.span("demand_fill", "n0.vmm", 3.0, 71.04)
+    reg.end_run()
+    rows = phase_breakdown(reg)
+    by = {r["phase"]: r for r in rows}
+    assert by["switch"]["share"] == 1.0
+    assert abs(by["page_out"]["share"] - 1.0 / 3.0) < 1e-12
+    assert by["demand_fill"]["share"] is None
+    assert by["demand_fill"]["total_s"] == 71.04 - 3.0
+    out = render_phase_table(rows)
+    fill = next(l for l in out.splitlines() if "demand_fill" in l)
+    assert "%" not in fill
+    assert "100.0%" in out and "33.3%" in out
