@@ -31,8 +31,8 @@ Sweep scale
 multi-process sweep: workers ship ``Registry.snapshot()`` payloads
 through the ``"_perf"`` channel and a :class:`SweepObserver` merges
 them into one sweep-level registry (per-cell trace tracks, exact
-summed summaries), plus the supervisor event log, the live progress
-ticker, and the ``BENCH_PR*.json`` trajectory reporter.
+summed summaries), plus the supervisor event log and the live
+progress ticker.
 """
 
 from __future__ import annotations

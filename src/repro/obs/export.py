@@ -205,12 +205,15 @@ def phase_breakdown(source: Union[Registry, Iterable[Span]],
     """Aggregate spans by phase name: count, total, mean, share.
 
     ``share`` is each phase's total relative to the ``switch`` total
-    when switch spans exist (so drain + page_out + page_in_prefetch
-    decompose the switch), else relative to the grand total.  A phase
-    outside the switch, such as ``demand_fill``, has no share of it:
-    its ``share`` is ``None`` when switch spans exist.  Returns
-    rows in :data:`PHASE_ORDER` then alphabetically.  The sweep
-    observer's :data:`CELL_MARKER` spans are not phases and get no row.
+    when switch spans exist, else relative to the grand total.  Every
+    node of a run drains, pages out and prefetches inside each of its
+    run's switches, so those three phases are taken against the switch
+    total times the node tracks they cover in that run: they then
+    decompose the switch on any node count.  A phase outside the
+    switch, such as ``demand_fill``, has no share of it: its ``share``
+    is ``None`` when switch spans exist.  Returns rows in
+    :data:`PHASE_ORDER` then alphabetically.  The sweep observer's
+    :data:`CELL_MARKER` spans are not phases and get no row.
     """
     spans = [s for s in _iter_spans(source) if s.name != CELL_MARKER]
     if run is not None:
@@ -218,6 +221,9 @@ def phase_breakdown(source: Union[Registry, Iterable[Span]],
         spans = [s for s in spans
                  if s.track.startswith(prefix) or s.track == run]
     agg: dict[str, dict] = {}
+    # per run (a track's prefix): its switch total and its node tracks
+    run_switch_s: dict[str, float] = {}
+    run_nodes: dict[str, set] = {}
     for s in spans:
         row = agg.setdefault(s.name, {"phase": s.name, "count": 0,
                                       "total_s": 0.0, "max_s": 0.0})
@@ -225,17 +231,26 @@ def phase_breakdown(source: Union[Registry, Iterable[Span]],
         row["total_s"] += s.duration
         if s.duration > row["max_s"]:
             row["max_s"] = s.duration
-    base = agg.get("switch", {}).get("total_s", 0.0)
-    shared = SWITCH_PHASES
-    if base <= 0.0:
-        base = sum(r["total_s"] for r in agg.values())
-        shared = agg
+        run_id, _, leaf = s.track.rpartition("/")
+        if s.name == "switch":
+            run_switch_s[run_id] = run_switch_s.get(run_id, 0.0) + s.duration
+        elif s.name in SWITCH_PHASES:
+            run_nodes.setdefault(run_id, set()).add(leaf)
+    switch_s = agg.get("switch", {}).get("total_s", 0.0)
+    if switch_s > 0.0:
+        node_s = sum(total * len(run_nodes.get(run_id, ()))
+                     for run_id, total in run_switch_s.items())
+        denoms = dict.fromkeys(SWITCH_PHASES, node_s)
+        denoms["switch"] = switch_s
+    else:
+        denoms = dict.fromkeys(agg, sum(r["total_s"] for r in agg.values()))
     for row in agg.values():
         row["mean_s"] = row["total_s"] / row["count"] if row["count"] else 0.0
-        if row["phase"] not in shared:
+        denom = denoms.get(row["phase"])
+        if denom is None:
             row["share"] = None
         else:
-            row["share"] = row["total_s"] / base if base > 0 else 0.0
+            row["share"] = row["total_s"] / denom if denom > 0 else 0.0
     order = {name: i for i, name in enumerate(PHASE_ORDER)}
     return sorted(
         agg.values(),

@@ -238,3 +238,34 @@ def test_phase_outside_the_switch_gets_no_share():
     fill = next(l for l in out.splitlines() if "demand_fill" in l)
     assert "%" not in fill
     assert "100.0%" in out and "33.3%" in out
+
+
+def test_node_phases_decompose_the_switch_on_every_node_count():
+    # each node pages out and prefetches inside every switch of its
+    # run, so two nodes' spans add up to twice the switch; the shares
+    # are taken per node and still sum to the switch
+    reg = Registry()
+    reg.begin_run("two-node")
+    reg.span("switch", "scheduler", 0.0, 4.0)
+    for node in ("n0", "n1"):
+        reg.span("drain", node, 0.0, 0.0)
+        reg.span("page_out", node, 0.0, 1.0)
+        reg.span("page_in_prefetch", node, 1.0, 4.0)
+    reg.end_run()
+    by = {r["phase"]: r for r in phase_breakdown(reg)}
+    assert by["switch"]["share"] == 1.0
+    assert by["page_out"]["total_s"] == 2.0
+    assert by["page_out"]["count"] == 2
+    assert by["page_out"]["share"] == 0.25
+    assert by["page_in_prefetch"]["share"] == 0.75
+    assert by["drain"]["share"] == 0.0
+    # a second run on one node: each run's switch is weighted by its
+    # own node count (2 x 4 s + 1 x 2 s of node time in switches)
+    reg.begin_run("one-node")
+    reg.span("switch", "scheduler", 0.0, 2.0)
+    reg.span("page_out", "n0", 0.0, 2.0)
+    reg.end_run()
+    by = {r["phase"]: r for r in phase_breakdown(reg)}
+    assert by["switch"]["total_s"] == 6.0
+    assert by["page_out"]["share"] == 4.0 / 10.0
+    assert by["page_in_prefetch"]["share"] == 6.0 / 10.0

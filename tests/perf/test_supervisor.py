@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import multi_seed
 from repro.experiments.report_io import _sanitise
+from repro.experiments.runner import GangConfig
 from repro.faults.worker import WorkerFaultPlan
 from repro.perf import (
     Cell,
@@ -30,7 +32,9 @@ from repro.perf import (
     set_default_supervisor,
     sweep_id,
 )
-from repro.obs import Registry
+from repro.obs import Registry, SweepObserver
+from repro.obs.export import summary as registry_summary
+from repro.obs.sweep import merge_summaries
 
 
 @pytest.fixture(autouse=True)
@@ -508,3 +512,54 @@ def test_chaos_sweep_identical_to_fault_free_serial():
     assert sup.stats["respawns"] >= n_crashes + n_hangs >= 2
     assert sup.stats["timeouts"] >= n_hangs >= 1
     assert sup.stats["completed"] == len(cells)
+
+
+def find_crash_plan(n_cells):
+    """Seed-search a crash-only plan: 1-3 crashes at attempt 0 and
+    clean draws on attempts 1-5 of every cell, so each crashed cell
+    succeeds on its first retry and none can be quarantined.  Crash
+    containment does not depend on timing, so the verdicts hold on a
+    loaded host at any ``jobs``."""
+    for seed in range(50000):
+        plan = WorkerFaultPlan(crash_rate=0.1, seed=seed)
+        sched = plan.injections(n_cells)
+        if not 1 <= len(sched) <= 3:
+            continue
+        if any(plan.decide(i, a) is not None
+               for i in range(n_cells) for a in range(1, 6)):
+            continue
+        return plan, sched
+    raise AssertionError("no suitable chaos seed in search window")
+
+
+def test_chaos_simulation_sweep_logs_every_fault_and_merges_identically(
+        tmp_path):
+    # the (seed, mode) grid multi_seed.replicate runs, as records so
+    # every cell can be compared and its telemetry summed
+    base = GangConfig("LU", "B", nprocs=1, scale=0.05)
+    cells = multi_seed.cell_grid(base, "so/ao/ai/bg", (1, 2))
+    plan, sched = find_crash_plan(len(cells))
+    serial = run_cells(cells, jobs=1)
+
+    sup = Supervisor(SupervisorConfig(
+        max_retries=8, worker_faults=plan, journal=True,
+        journal_dir=str(tmp_path / "journal")))
+    sweep = SweepObserver()
+    merged = run_cells(cells, jobs=2, supervisor=sup, sweep_obs=sweep)
+
+    assert canon(merged) == canon(serial)
+    # a crash costs exactly the cell its worker held: one respawn each
+    assert sup.stats["quarantined"] == 0
+    assert sup.stats["respawns"] == len(sched)
+    # the event log names every fault the counters count
+    counts = sup.events.counts()
+    assert counts.get("worker_respawn", 0) == sup.stats["respawns"]
+    assert counts.get("retry", 0) == sup.stats["retries"]
+    assert all(e.get("key") for e in sup.events.named("retry"))
+    # the sweep summary is the sum of the summaries the cells shipped,
+    # and the merged registry agrees with it
+    per_cell = [r["_perf"]["obs"] for r in merged.values()]
+    assert len(per_cell) == len(cells)
+    assert sweep.summary() == merge_summaries(per_cell)
+    assert registry_summary(sweep.registry)["counters"] == \
+        sweep.summary()["counters"]
