@@ -41,7 +41,6 @@ class Node:
         replacement: Optional[ReplacementPolicy] = None,
         on_disk_complete=None,
         refault_window_s: float = 150.0,
-        disk_discipline: str = "fifo",
         faults: Optional[FaultPlan] = None,
         obs=NULL_OBS,
     ) -> None:
@@ -51,7 +50,7 @@ class Node:
         self.disk = Disk(
             env, disk_params or DiskParams(),
             on_complete=on_disk_complete, name=f"{name}.disk",
-            faults=faults, obs=obs, discipline=disk_discipline,
+            faults=faults, obs=obs,
         )
         self.vmm = VirtualMemoryManager(
             env, memory, self.disk, policy=replacement, name=f"{name}.vmm",

@@ -22,8 +22,8 @@ Requests queue by ``(priority, arrival)``.  Foreground page faults use
 uses :data:`PRIO_BACKGROUND` so it never delays a foreground fault that
 is already queued.  Service is non-preemptive.
 
-Within a priority level the device's ``discipline`` picks the next
-request:
+Within a priority level the :class:`DiskParams` ``discipline`` picks
+the next request:
 
 ``fifo``   strict arrival order (used by all paper experiments),
 ``sstf``   shortest-seek-time-first: the request whose first slot is
@@ -72,6 +72,8 @@ PRIO_FOREGROUND = 0
 #: Queue priority for the background dirty-page writer (served only when
 #: no foreground request is waiting).
 PRIO_BACKGROUND = 10
+#: Dispatch disciplines a :class:`DiskParams` may name.
+DISCIPLINES = ("fifo", "sstf", "cscan")
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,20 @@ class DiskParams:
     #: flat-seek model used by all paper experiments; the disk-scheduling
     #: extension sets it to study elevator disciplines.
     seek_distance_coef_s: float = 0.0
+    #: dispatch order within a priority level: ``"fifo"`` (arrival
+    #: order, used by all paper experiments), ``"sstf"`` or ``"cscan"``
+    #: (see the module docstring)
+    discipline: str = "fifo"
 
     def __post_init__(self) -> None:
         if min(self.seek_s, self.rotational_s, self.overhead_s,
                self.seek_distance_coef_s) < 0:
             raise ValueError("latencies must be non-negative")
+        if self.discipline not in DISCIPLINES:
+            raise ValueError(
+                f"unknown discipline {self.discipline!r}; "
+                f"expected one of {DISCIPLINES}"
+            )
         if self.transfer_bytes_s <= 0 or self.page_bytes <= 0:
             raise ValueError("rates and sizes must be positive")
 
@@ -290,12 +301,7 @@ class Disk:
     retry_budget:
         Optional cumulative retry allowance for the whole device; once
         spent, further errors fail immediately (``None`` = unlimited).
-    discipline:
-        Dispatch order within a priority level: ``"fifo"`` (arrival
-        order), ``"sstf"`` or ``"cscan"`` (see the module docstring).
     """
-
-    DISCIPLINES = ("fifo", "sstf", "cscan")
 
     def __init__(
         self,
@@ -307,13 +313,7 @@ class Disk:
         max_retries: int = 4,
         retry_budget: Optional[int] = None,
         obs=NULL_OBS,
-        discipline: str = "fifo",
     ) -> None:
-        if discipline not in self.DISCIPLINES:
-            raise ValueError(
-                f"unknown discipline {discipline!r}; "
-                f"expected one of {self.DISCIPLINES}"
-            )
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if retry_budget is not None and retry_budget < 0:
@@ -321,7 +321,7 @@ class Disk:
         self.env = env
         self.params = params
         self.name = name
-        self.discipline = discipline
+        self.discipline = params.discipline
         self.on_complete = on_complete
         #: optional run-aware observer ``f(op, sizes, starts, ends,
         #: pid)`` taking a whole eager run in one call; when set it
@@ -839,6 +839,7 @@ class Disk:
 
 
 __all__ = [
+    "DISCIPLINES",
     "Disk",
     "DiskParams",
     "DiskRequest",

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.runner import GangConfig, run_experiment
+from repro.experiments.runner import GangConfig, run_grids
 from repro.metrics.report import format_table, percent
 
 POLICIES = ("lru", "so", "so/ao/ai/bg")
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
     base = GangConfig("LU", "B", nprocs=1, seed=seed, scale=scale)
+    configs = {pol: replace(base, policy=pol) for pol in POLICIES}
+    results = run_grids({"false-eviction": configs}, jobs=jobs,
+                        context="false-eviction ablation")
     records = {}
-    for pol in POLICIES:
-        res = run_experiment(replace(base, policy=pol))
-        stats = res.vmm_stats[0]
+    for pol, cfg in configs.items():
+        stats = results[cfg]["vmm_stats"][0]
         records[pol] = {
-            "makespan_s": res.makespan,
+            "makespan_s": results[cfg]["makespan"],
             "refaults": stats["refaults"],
             "evictions": stats["evictions"],
             "pages_swapped_in": stats["pages_swapped_in"],

@@ -13,50 +13,31 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cluster.node import Node
-from repro.experiments import runner as _r
-from repro.experiments.runner import GangConfig, run_experiment
-from repro.gang.job import Job
-from repro.gang.scheduler import GangScheduler
-from repro.mem.params import MemoryParams
+from repro.experiments.runner import GangConfig, run_grids
 from repro.metrics.analysis import overhead_seconds
 from repro.metrics.report import format_table
-from repro.sim.engine import Environment
-from repro.sim.rng import RngStreams
 
 WINDOWS = (16, 64, 256)
 
 
-def _run_with_window(base: GangConfig, window: int, policy: str) -> dict:
-    env = Environment()
-    rngs = RngStreams(base.seed)
-    memory = MemoryParams.from_mb(
-        base.memory_mb * base.scale, readahead_pages=window
-    )
-    max_phase = min(
-        8192, max(64, (memory.total_frames - memory.freepages_high) // 2)
-    )
-    node = Node(env, "node0", memory, policy, disk_params=base.disk)
-    jobs = []
-    for j in range(base.njobs):
-        w = _r._scaled_workload(base, max_phase)
-        jobs.append(Job(f"LU#{j}", [node], [w], rngs.spawn(f"job{j}")))
-    GangScheduler(env, jobs, quantum_s=base.quantum_s * base.scale).start()
-    env.run()
-    return {
-        "makespan_s": max(j.completed_at for j in jobs),
-        "pages_read": node.disk.total_pages["read"],
-        "useless_prefetch_hint": node.vmm.stats.pages_swapped_in,
-    }
-
-
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
     base = GangConfig("LU", "B", nprocs=1, seed=seed, scale=scale)
-    batch = run_experiment(replace(base, mode="batch")).makespan
+    configs = {f"lru+ra{window}": replace(base, readahead_pages=window)
+               for window in WINDOWS}
+    configs["ai (ra16)"] = replace(base, policy="ai")
+    batch_cfg = replace(base, mode="batch")
+    results = run_grids({"readahead": {"batch": batch_cfg, **configs}},
+                        jobs=jobs, context="read-ahead ablation")
+    batch = results[batch_cfg]["makespan"]
     records = {"_batch_s": batch}
-    for window in WINDOWS:
-        records[f"lru+ra{window}"] = _run_with_window(base, window, "lru")
-    records["ai (ra16)"] = _run_with_window(base, 16, "ai")
+    for label, cfg in configs.items():
+        r = results[cfg]
+        records[label] = {
+            "makespan_s": r["makespan"],
+            "pages_read": r["pages_read"],
+            "useless_prefetch_hint": r["vmm_stats"][0]["pages_swapped_in"],
+        }
     if not quiet:
         print(render(records, batch))
     return records

@@ -18,19 +18,18 @@ driven paging serialises computation.
 
 from __future__ import annotations
 
-from repro.cluster.node import Node
-from repro.disk.device import DiskParams, ERA_DISK
-from repro.experiments import runner as _r
-from repro.experiments.runner import GangConfig
-from repro.gang.job import Job
-from repro.gang.scheduler import BatchScheduler, GangScheduler
-from repro.mem.params import MemoryParams
+from dataclasses import replace
+
+from repro.disk.device import DISCIPLINES, DiskParams, ERA_DISK
+from repro.experiments.runner import (
+    GangConfig,
+    mode_configs,
+    run_experiment,
+    run_grids,
+)
 from repro.metrics.analysis import overhead_fraction
 from repro.metrics.report import format_table, percent
-from repro.sim.engine import Environment
-from repro.sim.rng import RngStreams
 
-DISCIPLINES = ("fifo", "sstf", "cscan")
 POLICIES = ("lru", "so/ao/ai/bg")
 
 #: the era disk plus a distance-dependent arm term so that dispatch
@@ -43,45 +42,34 @@ ARM_DISK = DiskParams(
 )
 
 
-def _run_one(base: GangConfig, discipline: str, policy: str,
-             mode: str) -> float:
-    env = Environment()
-    rngs = RngStreams(base.seed)
-    memory = MemoryParams.from_mb(base.memory_mb * base.scale)
-    max_phase = min(
-        8192, max(64, (memory.total_frames - memory.freepages_high) // 2)
-    )
-    node = Node(
-        env, "node0", memory, policy if mode == "gang" else "lru",
-        disk_params=ARM_DISK, disk_discipline=discipline,
-        refault_window_s=0.5 * base.quantum_s * base.scale,
-    )
-    jobs = []
-    for j in range(base.njobs):
-        w = _r._scaled_workload(base, max_phase)
-        jobs.append(Job(f"{base.benchmark}#{j}", [node], [w],
-                        rngs.spawn(f"job{j}")))
-    if mode == "batch":
-        BatchScheduler(env, jobs).start()
-    else:
-        GangScheduler(env, jobs,
-                      quantum_s=base.quantum_s * base.scale).start()
-    env.run()
-    return max(j.completed_at for j in jobs), node.disk.max_queue_seen
+def diskched_cell(cfg: GangConfig) -> dict:
+    """The makespan and the deepest disk queue of one run."""
+    res = run_experiment(cfg)
+    return {"makespan": res.makespan,
+            "max_queue": res.collector.nodes[0].disk.max_queue_seen}
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
     base = GangConfig("LU", "B", nprocs=1, seed=seed, scale=scale)
+    grid = {
+        disc: mode_configs(
+            replace(base, disk=replace(ARM_DISK, discipline=disc)), POLICIES
+        )
+        for disc in DISCIPLINES
+    }
+    results = run_grids(grid, jobs=jobs, context="disk-discipline grid",
+                        cell=diskched_cell)
     records = {}
-    for disc in DISCIPLINES:
-        batch, _ = _run_one(base, disc, "lru", "batch")
+    for disc, modes in grid.items():
+        batch = results[modes["batch"]]["makespan"]
         row = {"batch_s": batch}
         for pol in POLICIES:
-            mk, depth = _run_one(base, disc, pol, "gang")
+            r = results[modes[pol]]
             row[pol] = {
-                "makespan_s": mk,
-                "overhead": overhead_fraction(mk, batch),
-                "max_queue": depth,
+                "makespan_s": r["makespan"],
+                "overhead": overhead_fraction(r["makespan"], batch),
+                "max_queue": r["max_queue"],
             }
         records[disc] = row
     if not quiet:

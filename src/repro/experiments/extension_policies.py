@@ -12,72 +12,29 @@ baseline the kernel uses — and by how much each baseline thrashes.
 
 from __future__ import annotations
 
-from repro.cluster.node import Node
-from repro.disk.device import ERA_DISK
-from repro.experiments import runner as _r
-from repro.experiments.runner import GangConfig
-from repro.gang.job import Job
-from repro.gang.scheduler import BatchScheduler, GangScheduler
-from repro.mem.params import MemoryParams
-from repro.mem.replacement import (
-    GlobalLruPolicy,
-    LargestProcessClockPolicy,
-    PageAgingPolicy,
-)
-from repro.metrics.analysis import overhead_fraction, paging_reduction
-from repro.metrics.report import format_table, percent
-from repro.sim.engine import Environment
-from repro.sim.rng import RngStreams
+from dataclasses import replace
 
-BASELINES = {
-    "global-lru": GlobalLruPolicy,
-    "largest-clock": LargestProcessClockPolicy,
-    "page-aging": PageAgingPolicy,
-}
+from repro.experiments.runner import (
+    GangConfig,
+    makespans,
+    mode_configs,
+    paging_record,
+    run_grids,
+)
+from repro.mem.replacement import REPLACEMENT_POLICIES
+from repro.metrics.report import format_table, percent
+
 POLICIES = ("lru", "so/ao/ai/bg")
 
 
-def _run_one(base: GangConfig, baseline_cls, policy: str, mode: str) -> float:
-    env = Environment()
-    rngs = RngStreams(base.seed)
-    memory = MemoryParams.from_mb(base.memory_mb * base.scale)
-    max_phase = min(
-        8192, max(64, (memory.total_frames - memory.freepages_high) // 2)
-    )
-    node = Node(
-        env, "node0", memory, policy if mode == "gang" else "lru",
-        disk_params=ERA_DISK, replacement=baseline_cls(),
-        refault_window_s=0.5 * base.quantum_s * base.scale,
-    )
-    jobs = []
-    for j in range(base.njobs):
-        w = _r._scaled_workload(base, max_phase)
-        jobs.append(Job(f"{base.benchmark}#{j}", [node], [w],
-                        rngs.spawn(f"job{j}")))
-    if mode == "batch":
-        BatchScheduler(env, jobs).start()
-    else:
-        GangScheduler(env, jobs,
-                      quantum_s=base.quantum_s * base.scale).start()
-    env.run()
-    return max(j.completed_at for j in jobs)
-
-
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
     base = GangConfig("LU", "B", nprocs=1, seed=seed, scale=scale)
-    records = {}
-    for name, cls in BASELINES.items():
-        batch = _run_one(base, cls, "lru", "batch")
-        lru = _run_one(base, cls, "lru", "gang")
-        full = _run_one(base, cls, "so/ao/ai/bg", "gang")
-        records[name] = {
-            "batch_s": batch,
-            "lru_s": lru,
-            "adaptive_s": full,
-            "overhead_lru": overhead_fraction(lru, batch),
-            "overhead_adaptive": overhead_fraction(full, batch),
-            "reduction": paging_reduction(lru, full, batch),
-        }
+    grid = {name: mode_configs(replace(base, replacement=name), POLICIES)
+            for name in REPLACEMENT_POLICIES}
+    results = run_grids(grid, jobs=jobs, context="replacement-policy grid")
+    records = {name: paging_record(makespans(modes, results))
+               for name, modes in grid.items()}
     if not quiet:
         print(render(records))
     return records

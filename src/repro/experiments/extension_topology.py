@@ -17,19 +17,18 @@ the network.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cluster.network import NetworkParams
-from repro.cluster.node import Node
 from repro.cluster.topology import TwoLevelTopology
-from repro.disk.device import ERA_DISK
-from repro.experiments import runner as _r
-from repro.experiments.runner import GangConfig
-from repro.gang.job import Job
-from repro.gang.scheduler import BatchScheduler, GangScheduler
-from repro.mem.params import MemoryParams
+from repro.experiments.runner import (
+    GangConfig,
+    mode_configs,
+    run_experiment,
+    run_grids,
+)
 from repro.metrics.analysis import overhead_fraction
 from repro.metrics.report import format_table, percent
-from repro.sim.engine import Environment
-from repro.sim.rng import RngStreams
 
 NNODES = 8
 POLICIES = ("lru", "so/ao/ai/bg")
@@ -43,57 +42,42 @@ TOPOLOGIES = {
 }
 
 
-def _run_one(base: GangConfig, network, policy: str, mode: str):
-    env = Environment()
-    rngs = RngStreams(base.seed)
-    memory = MemoryParams.from_mb(base.memory_mb * base.scale)
-    max_phase = min(
-        8192, max(64, (memory.total_frames - memory.freepages_high) // 2)
-    )
-    nodes = [
-        Node(env, f"node{i}", memory,
-             policy if mode == "gang" else "lru",
-             disk_params=ERA_DISK,
-             refault_window_s=0.5 * base.quantum_s * base.scale)
-        for i in range(NNODES)
-    ]
-    jobs = []
-    for j in range(base.njobs):
-        wls = [_r._scaled_workload(base, max_phase) for _ in nodes]
-        jobs.append(Job(f"{base.benchmark}#{j}", nodes, wls,
-                        rngs.spawn(f"job{j}"), network=network))
-    if mode == "batch":
-        BatchScheduler(env, jobs).start()
-    else:
-        GangScheduler(env, jobs,
-                      quantum_s=base.quantum_s * base.scale).start()
-    env.run()
-    sync = sum(
-        j.barrier.total_sync_s for j in jobs if j.barrier is not None
-    ) / (NNODES * base.njobs)
-    rounds = sum(
-        j.barrier.rounds_completed for j in jobs if j.barrier is not None
-    )
-    wire = rounds * network.barrier_s(NNODES)
-    return max(j.completed_at for j in jobs), sync, wire
+def topology_cell(cfg: GangConfig) -> dict:
+    """The makespan, the mean per-rank barrier wait and the pure wire
+    time of every barrier round in one run."""
+    res = run_experiment(cfg)
+    barriers = [j.barrier for j in res.collector.scheduler.jobs
+                if j.barrier is not None]
+    rounds = sum(b.rounds_completed for b in barriers)
+    return {
+        "makespan": res.makespan,
+        "mean_rank_sync_s": sum(b.total_sync_s for b in barriers)
+        / (cfg.nprocs * cfg.njobs),
+        "wire_sync_s": rounds * cfg.network.barrier_s(cfg.nprocs),
+    }
 
 
-def run(scale: float = 1.0, seed: int = 1, quiet: bool = False) -> dict:
+def run(scale: float = 1.0, seed: int = 1, quiet: bool = False,
+        jobs: int = 1) -> dict:
     # a memory lock that stresses 8 nodes: LU.C per-node ~115 MB, so
     # use 200 MB usable to keep the pair overcommitted
     base = GangConfig("LU", "C", nprocs=NNODES, memory_mb=200.0,
                       seed=seed, scale=scale)
+    grid = {label: mode_configs(replace(base, network=network), POLICIES)
+            for label, network in TOPOLOGIES.items()}
+    results = run_grids(grid, jobs=jobs, context="topology grid",
+                        cell=topology_cell)
     records = {}
-    for label, network in TOPOLOGIES.items():
-        batch, _, _ = _run_one(base, network, "lru", "batch")
+    for label, modes in grid.items():
+        batch = results[modes["batch"]]["makespan"]
         row = {"batch_s": batch}
         for pol in POLICIES:
-            mk, sync, wire = _run_one(base, network, pol, "gang")
+            r = results[modes[pol]]
             row[pol] = {
-                "makespan_s": mk,
-                "overhead": overhead_fraction(mk, batch),
-                "mean_rank_sync_s": sync,
-                "wire_sync_s": wire,
+                "makespan_s": r["makespan"],
+                "overhead": overhead_fraction(r["makespan"], batch),
+                "mean_rank_sync_s": r["mean_rank_sync_s"],
+                "wire_sync_s": r["wire_sync_s"],
             }
         records[label] = row
     if not quiet:

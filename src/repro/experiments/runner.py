@@ -30,9 +30,11 @@ import resource
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Hashable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
+from repro.cluster.network import NetworkParams
 from repro.cluster.node import Node
+from repro.cluster.topology import TwoLevelTopology
 from repro.core.policies import PagingPolicy
 from repro.disk.device import ERA_DISK, DiskParams
 from repro.faults.errors import WatchdogTimeout
@@ -40,6 +42,7 @@ from repro.faults.plan import FAULT_FREE, FaultPlan, FaultRates
 from repro.gang.job import Job
 from repro.gang.scheduler import BatchScheduler, GangScheduler
 from repro.mem.params import MemoryParams
+from repro.mem.replacement import REPLACEMENT_POLICIES
 from repro.metrics.analysis import overhead_fraction, paging_reduction
 from repro.metrics.collector import MetricsCollector
 from repro.obs import Registry, get_default, summary as obs_summary
@@ -71,6 +74,16 @@ class GangConfig:
     mode: str = "gang"
     #: paging-device model (defaults to the testbed-era disk)
     disk: DiskParams = ERA_DISK
+    #: swap-in read-ahead window in pages (the §3.3 ablation sweeps it)
+    readahead_pages: int = 16
+    #: fraction of the quantum the §3.4 background writer runs (the
+    #: ``bg`` ablation sweeps it)
+    bg_fraction: float = 0.1
+    #: baseline replacement policy, a key of
+    #: :data:`~repro.mem.replacement.REPLACEMENT_POLICIES`
+    replacement: str = "global-lru"
+    #: interconnect of every job (``None`` = the flat default switch)
+    network: Optional[Union[NetworkParams, TwoLevelTopology]] = None
     #: fault-injection rates (all-zero = fault-free, no plan built)
     faults: FaultRates = FAULT_FREE
     #: watchdog: abort once virtual time exceeds this many seconds
@@ -93,8 +106,16 @@ class GangConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected 'gang' or 'batch'"
             )
-        # unknown mechanism ids raise here, not deep inside node setup
-        PagingPolicy.parse(self.policy)
+        # unknown mechanism ids and a bg_fraction outside [0, 1] raise
+        # here, not deep inside node setup
+        PagingPolicy.parse(self.policy, bg_fraction=self.bg_fraction)
+        if self.readahead_pages <= 0:
+            raise ValueError("readahead_pages must be positive")
+        if self.replacement not in REPLACEMENT_POLICIES:
+            raise ValueError(
+                f"unknown replacement {self.replacement!r}; expected one "
+                f"of {tuple(REPLACEMENT_POLICIES)}"
+            )
         if self.max_sim_s is not None and self.max_sim_s <= 0:
             raise ValueError("max_sim_s must be positive when set")
         if self.max_events is not None and self.max_events <= 0:
@@ -317,15 +338,21 @@ def run_experiment(
         collector.attach_registry(obs)
 
         memory_mb = cfg.memory_mb * cfg.scale
-        memory = MemoryParams.from_mb(memory_mb)
+        memory = MemoryParams.from_mb(memory_mb,
+                                      readahead_pages=cfg.readahead_pages)
         # keep phases comfortably below the reclaim ceiling
         max_phase = min(
             8192, max(64, (memory.total_frames - memory.freepages_high) // 2)
         )
-        policy = cfg.policy if cfg.mode == "gang" else "lru"
+        policy = PagingPolicy.parse(
+            cfg.policy if cfg.mode == "gang" else "lru",
+            bg_fraction=cfg.bg_fraction,
+        )
+        replacement = REPLACEMENT_POLICIES[cfg.replacement]
         nodes = [
             Node(
                 env, f"node{i}", memory, policy, disk_params=cfg.disk,
+                replacement=replacement(),
                 # a refault = re-read within half a quantum of eviction —
                 # the §3.1 false-eviction signature at any scale
                 refault_window_s=0.5 * cfg.quantum_s * cfg.scale,
@@ -341,7 +368,7 @@ def run_experiment(
             workloads = [_scaled_workload(cfg, max_phase) for _ in nodes]
             jobs.append(
                 Job(f"{cfg.benchmark}#{j}", nodes, workloads,
-                    rngs.spawn(f"job{j}"))
+                    rngs.spawn(f"job{j}"), network=cfg.network)
             )
 
         if cfg.mode == "batch":
@@ -458,8 +485,10 @@ def mode_configs(
 
 def run_grids(*grids: Mapping[Hashable, Mapping[str, GangConfig]],
               jobs: int = 1,
-              context: str = "experiment grid") -> dict[GangConfig, dict]:
-    """Run every config of ``grids`` once; returns ``{config: run_cell}``.
+              context: str = "experiment grid",
+              cell: Optional[Callable[[GangConfig], dict]] = None,
+              ) -> dict[GangConfig, dict]:
+    """Run every config of ``grids`` once; returns ``{config: record}``.
 
     A grid maps each case to its ``{mode: config}``, as
     :func:`mode_configs` builds them.  The configs form one
@@ -467,9 +496,16 @@ def run_grids(*grids: Mapping[Hashable, Mapping[str, GangConfig]],
     hashable) config itself, so a config shared by several grids is
     simulated once, and ``--jobs``, the cell cache, the supervisor and
     ``--obs`` all apply.
+
+    ``cell`` is the module-level cell function, called as
+    ``cell(cfg=config)``; ``None`` means :func:`run_cell`.  A harness
+    that reads a statistic ``run_cell`` does not ship passes its own,
+    which calls :func:`run_experiment` and returns a ``"makespan"`` key
+    (what :func:`makespans` reads) next to that statistic.
     """
+    fn = run_cell if cell is None else cell
     cells = {
-        cfg: Cell(cfg, run_cell, {"cfg": cfg})
+        cfg: Cell(cfg, fn, {"cfg": cfg})
         for grid in grids for modes in grid.values() for cfg in modes.values()
     }
     return require_ok(run_cells(cells.values(), jobs=jobs), context=context)

@@ -386,10 +386,19 @@ class PageAgingPolicy(ReplacementPolicy):
         return np.sort(np.concatenate(collected))
 
 
+#: The baseline policies by name, as a ``GangConfig.replacement`` names
+#: them.
+REPLACEMENT_POLICIES: dict[str, type[ReplacementPolicy]] = {
+    cls.name: cls
+    for cls in (GlobalLruPolicy, LargestProcessClockPolicy, PageAgingPolicy)
+}
+
+
 __all__ = [
     "GlobalLruPolicy",
     "LargestProcessClockPolicy",
     "PageAgingPolicy",
+    "REPLACEMENT_POLICIES",
     "ReplacementPolicy",
     "VictimBatch",
 ]

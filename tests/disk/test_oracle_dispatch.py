@@ -49,7 +49,7 @@ def same_instant_submits(fast, first_priority, second_priority,
     set_fast_path_enabled(fast)
     try:
         env = Environment()
-        disk = Disk(env, DiskParams(), discipline=discipline)
+        disk = Disk(env, DiskParams(discipline=discipline))
         write = disk.submit(np.arange(1000, 1064), "write", first_priority)
         read = disk.submit(np.arange(0, 8), "read", second_priority)
         env.run()

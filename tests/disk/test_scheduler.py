@@ -9,7 +9,7 @@ from repro.sim import Environment
 
 def make(discipline):
     env = Environment()
-    disk = Disk(env, DiskParams(), discipline=discipline)
+    disk = Disk(env, DiskParams(discipline=discipline))
     return env, disk
 
 
@@ -22,9 +22,8 @@ def completion_order(env, disk, requests):
 
 
 def test_unknown_discipline_rejected():
-    env = Environment()
     with pytest.raises(ValueError, match="unknown discipline"):
-        Disk(env, discipline="elevator9000")
+        DiskParams(discipline="elevator9000")
 
 
 def test_fifo_mode_behaves_like_base_disk():
@@ -105,7 +104,7 @@ def test_statistics_and_hooks_still_work():
     events = []
     env = Environment()
     disk = Disk(
-        env, DiskParams(), discipline="cscan",
+        env, DiskParams(discipline="cscan"),
         on_complete=lambda req, s, e: events.append(req.op),
     )
     disk.submit(np.arange(0, 8), "read")
@@ -119,11 +118,10 @@ def test_statistics_and_hooks_still_work():
 def test_sstf_reduces_total_seek_time_vs_fifo():
     """With a distance-dependent arm model, position-aware dispatch
     must beat FIFO on a scattered queue."""
-    params = DiskParams(seek_distance_coef_s=5e-5)
-
     def run(discipline):
         env = Environment()
-        disk = Disk(env, params, discipline=discipline)
+        disk = Disk(env, DiskParams(seek_distance_coef_s=5e-5,
+                                    discipline=discipline))
         rng = np.random.default_rng(5)
         starts = rng.integers(0, 200000, 64)
         for s in starts:
@@ -136,14 +134,14 @@ def test_sstf_reduces_total_seek_time_vs_fifo():
 
 
 def test_distance_coefficient_changes_cost():
-    flat = DiskParams()
-    dist = DiskParams(seek_distance_coef_s=1e-4)
+    flat = DiskParams(discipline="fifo")
+    dist = DiskParams(seek_distance_coef_s=1e-4, discipline="fifo")
     env1 = Environment()
-    d1 = Disk(env1, flat, discipline="fifo")
+    d1 = Disk(env1, flat)
     r1 = d1.submit(np.array([100000]), "read")
     env1.run()
     env2 = Environment()
-    d2 = Disk(env2, dist, discipline="fifo")
+    d2 = Disk(env2, dist)
     r2 = d2.submit(np.array([100000]), "read")
     env2.run()
     expected_extra = 1e-4 * np.sqrt(100000)

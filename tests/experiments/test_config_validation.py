@@ -48,6 +48,23 @@ def test_rejects_unknown_policy():
         GangConfig("LU", "B", policy="so/zz")
 
 
+def test_rejects_unknown_replacement():
+    with pytest.raises(ValueError, match="unknown replacement"):
+        GangConfig("LU", "B", replacement="fifo-clock")
+
+
+def test_rejects_bg_fraction_outside_unit_interval():
+    for frac in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="bg_fraction"):
+            GangConfig("LU", "B", policy="so/ao/bg", bg_fraction=frac)
+
+
+def test_rejects_nonpositive_readahead():
+    for pages in (0, -16):
+        with pytest.raises(ValueError, match="readahead_pages"):
+            GangConfig("LU", "B", readahead_pages=pages)
+
+
 def test_rejects_nonpositive_watchdog_limits():
     with pytest.raises(ValueError, match="max_sim_s"):
         GangConfig("LU", "B", max_sim_s=0.0)

@@ -47,9 +47,10 @@ def test_extension_diskched_disciplines_tie():
     assert extension_diskched.render(rec)
 
 
-#: extension_diskched at scale 0.1, seed 1 — the smallest scale at
-#: which the adaptive cells queue two requests, so the elevators pick.
-#: The three disciplines tie at this scale.
+#: extension_diskched at scale 0.1, seed 1.  The adaptive cells' peak
+#: queue depth of 2 counts the request in service, so at most one
+#: request ever waits: SSTF and C-SCAN never choose, and all three
+#: disciplines' records are FIFO's bit for bit.
 DISKCHED_ROW_0_1 = {
     "batch_s": 180.029184,
     "lru": {"makespan_s": 196.53146942278522,

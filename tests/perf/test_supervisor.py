@@ -413,6 +413,18 @@ def test_cache_hits_are_journaled_for_later_resume(tmp_path):
 # ---------------------------------------------------------------------------
 # kill-then-resume integration: only incomplete cells re-execute
 # ---------------------------------------------------------------------------
+def _fail_if_sources_changed(jdir, journal):
+    """The child computes its sweep id from its own ``code_version``.
+    A journal under another id means a ``repro`` source changed between
+    this process's hash and the child's, not that the sweep failed."""
+    others = [p.name for p in jdir.glob("*.jsonl") if p != journal.path]
+    if others:
+        pytest.fail(
+            "sources changed during the test run: the child journaled "
+            f"{others}, this process expects {journal.path.name}"
+        )
+
+
 def test_sigkill_then_resume_reexecutes_only_incomplete(tmp_path):
     from tests.perf import _resume_cells as rc
 
@@ -441,7 +453,11 @@ def test_sigkill_then_resume_reexecutes_only_incomplete(tmp_path):
         # wait until at least two cells are journaled, then pull the plug
         deadline = time.monotonic() + 60.0
         while len(journal.completed()) < 2:
-            assert child.poll() is None, "child sweep exited early"
+            if child.poll() is not None:
+                _fail_if_sources_changed(jdir, journal)
+            assert child.poll() is None, (
+                f"child sweep exited early (exit code {child.returncode})"
+            )
             assert time.monotonic() < deadline, "child sweep too slow"
             time.sleep(0.02)
     finally:
